@@ -18,11 +18,9 @@ from .adaptive import (
 from .config import RunConfig, load_config, parse_config, validate_config
 from .diagnostics import (
     WeightedSample,
-    ess_aggregated,
     ess_of_thetas,
     estimate_accept_prob,
     gain_factor,
-    l1_error,
     weighted_functional,
 )
 from .errors import (
@@ -100,13 +98,11 @@ __all__ = [
     "abc_reject",
     "calibrate_alpha",
     "distance",
-    "ess_aggregated",
     "ess_of_thetas",
     "estimate_accept_prob",
     "gain_curve",
     "gain_factor",
     "init_stage",
-    "l1_error",
     "load_config",
     "mad_scales",
     "mcmc_abc_chain",

@@ -6,7 +6,7 @@ particle cloud has concentrated (determinant of its parameter variance
 fell below ``shrink_factor`` times the first batch's) or the realized
 tolerance already beats the target, in which case the whole scheme stops
 right there.  Each sequential iteration then co-calibrates the survivor
-fraction ``alpha`` and the move probability ``rho`` on a 1/grid lattice:
+fraction ``alpha`` and the move probability ``rho`` on a 1/100 lattice:
 proposals are generated incrementally while ``alpha`` grows, and every
 cached proposal is re-judged against each candidate tolerance at zero
 simulation cost, stopping at the smallest ``alpha`` with
@@ -43,7 +43,7 @@ _SUB_CALIBRATE = 0
 _SUB_RESAMPLE = 1
 _SUB_FRESH = 2
 
-DEFAULT_ALPHA_GRID = 100  # candidate alphas are a/grid for a = 1..grid
+ALPHA_GRID = 100  # candidate alphas are a/ALPHA_GRID for a = 1..ALPHA_GRID
 
 
 @dataclass
@@ -98,11 +98,12 @@ def init_stage(
     """Prior-predictive warm start that decides whether to run at all.
 
     Batch K is drawn from streams ``key.child(K)``.  After each batch the
-    pooled particles are sorted, ``v_K`` is the variance determinant of
-    the best ``n`` parameter vectors, and the realized tolerance is their
-    worst distance.  The loop runs while that tolerance is still at or
-    above the target and ``v_K >= shrink_factor * v_1``; at least one
-    pass always runs, so at least two batches are simulated.
+    best ``n`` particles of all batches so far are kept, sorted by
+    distance; ``v_K`` is the variance determinant of their parameter
+    vectors, and the realized tolerance is their worst distance.  The
+    loop runs while that tolerance is still at or above the target and
+    ``v_K >= shrink_factor * v_1``; at least one pass always runs, so at
+    least two batches are simulated.
     """
     if n < 2:
         raise ValueError("need at least two particles")
@@ -114,8 +115,8 @@ def init_stage(
         raise ValueError("batch cap must allow at least two batches")
     counter = counter if counter is not None else SimCounter()
 
-    pool = prior_predictive(model, n, key.child(1), counter, PHASE_INIT).sorted_by_dist()
-    v1 = _det_var(pool.thetas)
+    best = prior_predictive(model, n, key.child(1), counter, PHASE_INIT).sorted_by_dist()
+    v1 = _det_var(best.thetas)
     if v1 <= 0.0:
         raise DegenerateArrayError(
             "first prior-predictive batch has a singular parameter variance"
@@ -123,12 +124,13 @@ def init_stage(
     k = 1
     vk = v1
     eps0 = np.inf
+    keep = np.arange(n)
     while eps0 >= epsilon_target and vk >= shrink_factor * v1:
         k += 1
         if k > max_batches:
             partial = InitResult(
-                array=pool.take(np.arange(n)),
-                epsilon0=float(pool.dists[n - 1]),
+                array=best,
+                epsilon0=float(best.dists[-1]),
                 batches_used=k - 1,
                 v_prior=v1,
                 v_final=vk,
@@ -139,16 +141,18 @@ def init_stage(
                 partial=partial,
             )
         batch = prior_predictive(model, n, key.child(k), counter, PHASE_INIT)
-        pool = ParticleArray(
-            np.concatenate([pool.thetas, batch.thetas]),
-            np.concatenate([pool.zs, batch.zs]),
-            np.concatenate([pool.dists, batch.dists]),
-        ).sorted_by_dist()
-        vk = _det_var(pool.thetas[:n])
-        eps0 = float(pool.dists[n - 1])
+        # the sort is stable, so the best n of (best n so far + batch) are
+        # exactly the best n of the whole pool, in the same order
+        best = ParticleArray(
+            np.concatenate([best.thetas, batch.thetas]),
+            np.concatenate([best.zs, batch.zs]),
+            np.concatenate([best.dists, batch.dists]),
+        ).sorted_by_dist().take(keep)
+        vk = _det_var(best.thetas)
+        eps0 = float(best.dists[-1])
 
     return InitResult(
-        array=pool.take(np.arange(n)),
+        array=best,
         epsilon0=eps0,
         batches_used=k,
         v_prior=v1,
@@ -164,11 +168,10 @@ def calibrate_alpha(
     key: RngKey,
     counter: SimCounter | None = None,
     phase: str = PHASE_ITERATION,
-    grid: int = DEFAULT_ALPHA_GRID,
 ) -> CalibrationOutcome:
     """Find the smallest survivor fraction with ``alpha + rho >= 1``.
 
-    Walks ``alpha`` up the 1/grid lattice.  Each step sets the candidate
+    Walks ``alpha`` up the 1/ALPHA_GRID lattice.  Each step sets the candidate
     tolerance to the ``floor(alpha*n)``-th order statistic of the input
     distances, draws proposals only for the newly covered slots (one
     Gaussian step from the slot's particle plus one simulation each,
@@ -176,15 +179,13 @@ def calibrate_alpha(
     proposals against the candidate tolerance, since an accept decision
     is free to revise once the proposal exists.  Consumes exactly
     ``floor(alpha*n)`` simulations.  Grid points covering zero slots
-    (possible when ``n < grid``) carry no tolerance and are skipped.
+    (possible when ``n < ALPHA_GRID``) carry no tolerance and are skipped.
     """
     n = len(sorted_array)
     if n < 2:
         raise ValueError("need at least two particles")
     if np.any(np.diff(sorted_array.dists) < 0):
         raise ValueError("input array must be sorted ascending by distance")
-    if grid < 1:
-        raise ValueError("alpha grid must have at least one point")
     counter = counter if counter is not None else SimCounter()
     factor = proposal_factor(sigma)
 
@@ -201,7 +202,7 @@ def calibrate_alpha(
     n_move = 0
     while True:
         a += 1
-        new_hi = (a * n) // grid
+        new_hi = (a * n) // ALPHA_GRID
         if new_hi == 0:
             continue
         eps_prime = float(sorted_array.dists[new_hi - 1])
@@ -217,12 +218,12 @@ def calibrate_alpha(
         n_move = int(
             np.count_nonzero(prop_in_box[:hi] & (prop_dists[:hi] <= eps_prime))
         )
-        # a/grid + n_move/hi >= 1, tested in exact integer arithmetic
-        if a * hi + n_move * grid >= grid * hi:
+        # a/ALPHA_GRID + n_move/hi >= 1, tested in exact integer arithmetic
+        if a * hi + n_move * ALPHA_GRID >= ALPHA_GRID * hi:
             break
 
     return CalibrationOutcome(
-        alpha=a / grid,
+        alpha=a / ALPHA_GRID,
         epsilon=eps_prime,
         rho_hat=n_move / hi,
         n_block=hi,
@@ -240,8 +241,6 @@ def smc_iteration(
     key: RngKey,
     t: int,
     counter: SimCounter | None = None,
-    literal_first_block: bool = False,
-    grid: int = DEFAULT_ALPHA_GRID,
     phase: str = PHASE_ITERATION,
 ) -> tuple[ParticleArray, IterationRecord]:
     """One calibrated iteration; costs exactly ``len(array)`` simulations.
@@ -252,27 +251,16 @@ def smc_iteration(
     proposal is in the box and within the calibrated tolerance.  The
     remaining slots resample a survivor and try one fresh kernel move at
     the same proposal scale, keeping the resampled source on rejection.
-
-    ``literal_first_block`` switches the first-block accept test to the
-    current particle's distance instead of the proposal's.  Since every
-    survivor already satisfies the calibrated tolerance, that reading
-    accepts on the box test alone and can let over-tolerance proposals
-    into the output; it exists for comparison runs only.
     """
     n = len(array)
     counter = counter if counter is not None else SimCounter()
     sims_before = counter.total
     srt = array.sorted_by_dist()
 
-    cal = calibrate_alpha(
-        srt, sigma, model, key.child(_SUB_CALIBRATE), counter, phase, grid
-    )
+    cal = calibrate_alpha(srt, sigma, model, key.child(_SUB_CALIBRATE), counter, phase)
     m = cal.n_block
     eps_t = cal.epsilon
-    if literal_first_block:
-        accept = cal.prop_in_box
-    else:
-        accept = cal.prop_in_box & (cal.prop_dists <= eps_t)
+    accept = cal.prop_in_box & (cal.prop_dists <= eps_t)
 
     head_thetas = srt.thetas[:m].copy()
     head_zs = srt.zs[:m].copy()
@@ -332,8 +320,6 @@ def run_self_calibrated(
     max_iters: int = 200,
     max_init_batches: int = 10_000,
     counter: SimCounter | None = None,
-    literal_first_block: bool = False,
-    grid: int = DEFAULT_ALPHA_GRID,
 ) -> tuple[ParticleArray, RunTrace]:
     """Full pipeline: initialization, calibrated iterations, final trim.
 
@@ -368,8 +354,6 @@ def run_self_calibrated(
             "shrink_factor": shrink_factor,
             "max_iters": max_iters,
             "max_init_batches": max_init_batches,
-            "literal_first_block": literal_first_block,
-            "alpha_grid": grid,
         }
     )
 
@@ -404,14 +388,13 @@ def run_self_calibrated(
             t += 1
             sigma = proposal_scale(current.thetas)
             current, record = smc_iteration(
-                current, sigma, model, key.child(_CH_ITER, t), t,
-                counter, literal_first_block, grid,
+                current, sigma, model, key.child(_CH_ITER, t), t, counter
             )
             if record.sims_used != n:
                 raise AssertionError(
                     f"iteration {t} used {record.sims_used} simulations, expected {n}"
                 )
-            if not literal_first_block and record.epsilon > eps_last:
+            if record.epsilon > eps_last:
                 raise AssertionError(
                     f"tolerance increased at iteration {t}: "
                     f"{eps_last} -> {record.epsilon}"

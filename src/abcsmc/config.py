@@ -15,9 +15,6 @@ from .errors import ConfigError
 
 SAMPLERS = ("reject", "mcmc", "naive-smc", "self-calibrated")
 
-_TRUE = {"true", "yes", "on", "1"}
-_FALSE = {"false", "no", "off", "0"}
-
 
 @dataclass
 class RunConfig:
@@ -35,8 +32,6 @@ class RunConfig:
     shrink_factor: float = 0.5
     max_iters: int = 200
     max_init_batches: int = 10_000
-    alpha_grid: int = 100
-    literal_first_block: bool = False
     replicates: int = 1
     seed: int | None = None
     workers: int = 1
@@ -44,15 +39,6 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
-
-
-def _parse_bool(raw: str, key: str) -> bool:
-    low = raw.lower()
-    if low in _TRUE:
-        return True
-    if low in _FALSE:
-        return False
-    raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
 
 
 def _parse_int(raw: str, key: str) -> int:
@@ -91,8 +77,6 @@ _PARSERS = {
     "shrink_factor": _parse_float,
     "max_iters": _parse_int,
     "max_init_batches": _parse_int,
-    "alpha_grid": _parse_int,
-    "literal_first_block": _parse_bool,
     "replicates": _parse_int,
     "seed": _parse_int,
     "workers": _parse_int,
@@ -194,5 +178,3 @@ def validate_config(cfg: RunConfig) -> None:
             raise ConfigError("self-calibrated: max_iters must be non-negative")
         if cfg.max_init_batches < 2:
             raise ConfigError("self-calibrated: max_init_batches must be at least 2")
-        if cfg.alpha_grid < 1:
-            raise ConfigError("self-calibrated: alpha_grid must be at least 1")

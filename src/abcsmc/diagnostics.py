@@ -40,34 +40,21 @@ class WeightedSample:
         return cls(particles, np.full(n, 1.0 / n if n else 1.0))
 
 
-def ess_of_thetas(
-    thetas: np.ndarray,
-    weights: np.ndarray | None = None,
-    theta_tolerance: float | None = None,
-) -> float:
+def ess_of_thetas(thetas: np.ndarray, weights: np.ndarray | None = None) -> float:
     """Effective sample size after aggregating duplicate parameter vectors.
 
-    Groups identical rows (exact bitwise equality by default; duplicates
-    here only ever come from resampling copies, which are exact), sums
-    weights within groups, and returns (sum w)^2 / sum(w^2) over groups.
+    Groups bitwise-identical rows (duplicates here only ever come from
+    resampling copies, which are exact), sums weights within groups, and
+    returns (sum w)^2 / sum(w^2) over groups.
     """
     n = len(thetas)
     if n == 0:
         raise ValueError("cannot compute the ESS of an empty sample")
     w = np.full(n, 1.0 / n) if weights is None else np.asarray(weights, dtype=float)
-    keys = np.asarray(thetas)
-    if theta_tolerance is not None:
-        if theta_tolerance <= 0:
-            raise ValueError("theta tolerance must be positive")
-        keys = np.round(keys / theta_tolerance)
-    _, inverse = np.unique(keys, axis=0, return_inverse=True)
+    _, inverse = np.unique(np.asarray(thetas), axis=0, return_inverse=True)
     grouped = np.bincount(inverse.ravel(), weights=w)
     total = grouped.sum()
     return float(total * total / np.sum(grouped * grouped))
-
-
-def ess_aggregated(sample: WeightedSample, theta_tolerance: float | None = None) -> float:
-    return ess_of_thetas(sample.particles.thetas, sample.weights, theta_tolerance)
 
 
 def gain_factor(total_sims: int, final_ess: float, accept_prob: float) -> float:
@@ -141,7 +128,3 @@ def weighted_functional(sample: WeightedSample, which: str, coord: int = 0) -> f
     pos = int(np.searchsorted(cum, levels[which] * total, side="left"))
     pos = min(pos, len(values) - 1)
     return float(values[order[pos]])
-
-
-def l1_error(sample: WeightedSample, which: str, oracle_value: float) -> float:
-    return abs(weighted_functional(sample, which) - oracle_value)

@@ -83,9 +83,6 @@ class ModelSpec:
             return self._lo[0] <= t <= self._hi[0]
         return bool(np.all(theta >= self._lo) and np.all(theta <= self._hi))
 
-    def in_box_many(self, thetas: np.ndarray) -> np.ndarray:
-        return np.all((thetas >= self._lo) & (thetas <= self._hi), axis=1)
-
 
 def prior_sample(
     model: ModelSpec, rng: np.random.Generator, size: int | None = None
@@ -106,8 +103,9 @@ def simulate(
 ) -> np.ndarray:
     """Run the simulator once; every call costs exactly one counter tick.
 
-    Simulator exceptions are wrapped in :class:`SimulationError` and
-    propagate — a failed simulation aborts the run, it is never retried.
+    Simulator exceptions, a summary of the wrong length and a NaN or
+    infinite summary value all raise :class:`SimulationError` — a failed
+    simulation aborts the run, it is never retried or counted.
     """
     try:
         z = model.simulator(theta, rng)
@@ -121,6 +119,12 @@ def simulate(
             f"expected {model.summary_dim}",
             theta,
         )
+    if not (math.isfinite(z[0]) if model.summary_dim == 1 else np.isfinite(z).all()):
+        raise SimulationError(
+            f"simulator for model '{model.name}' returned a non-finite summary "
+            f"{z!r} at theta={theta!r}",
+            theta,
+        )
     if counter is not None:
         counter.bump(phase)
     return z
@@ -132,11 +136,6 @@ def distance(model: ModelSpec, z: np.ndarray) -> float:
         return abs((float(z[0]) - model._obs0) * model._inv0)
     diff = (np.asarray(z, dtype=float) - model.observed) * model._inv_scales
     return float(math.sqrt(diff @ diff))
-
-
-def distance_many(model: ModelSpec, zs: np.ndarray) -> np.ndarray:
-    diff = (zs - model.observed) * model._inv_scales
-    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
 
 
 def toy_model(prior_halfwidth: float = 10.0) -> ModelSpec:
@@ -184,14 +183,11 @@ class ParticleArray:
     thetas: np.ndarray
     zs: np.ndarray
     dists: np.ndarray
-    weights: np.ndarray | None = None
 
     def __post_init__(self):
         n = len(self.dists)
         if len(self.thetas) != n or len(self.zs) != n:
             raise ValueError("particle columns must have equal length")
-        if self.weights is not None and len(self.weights) != n:
-            raise ValueError("weights length must match particle count")
 
     def __len__(self) -> int:
         return len(self.dists)
@@ -200,8 +196,7 @@ class ParticleArray:
         return Particle(self.thetas[i], self.zs[i], float(self.dists[i]))
 
     def take(self, idx) -> "ParticleArray":
-        w = None if self.weights is None else self.weights[idx]
-        return ParticleArray(self.thetas[idx], self.zs[idx], self.dists[idx], w)
+        return ParticleArray(self.thetas[idx], self.zs[idx], self.dists[idx])
 
     def sorted_by_dist(self) -> "ParticleArray":
         """Ascending by distance; ties keep original order (stable)."""
@@ -209,9 +204,3 @@ class ParticleArray:
 
     def distinct_count(self) -> int:
         return len(np.unique(self.thetas, axis=0))
-
-    @staticmethod
-    def empty(param_dim: int, summary_dim: int) -> "ParticleArray":
-        return ParticleArray(
-            np.empty((0, param_dim)), np.empty((0, summary_dim)), np.empty(0)
-        )

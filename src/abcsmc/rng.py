@@ -126,6 +126,3 @@ class StreamCursor:
         st["uinteger"] = 0
         self._bitgen.state = st
         return self.generator
-
-    def seek_key(self, key: RngKey) -> np.random.Generator:
-        return self.seek(key.key_words())

@@ -106,8 +106,6 @@ def run_replicate(cfg: RunConfig, replicate: int) -> ReplicateResult:
             max_iters=cfg.max_iters,
             max_init_batches=cfg.max_init_batches,
             counter=counter,
-            literal_first_block=cfg.literal_first_block,
-            grid=cfg.alpha_grid,
         )
     elif cfg.sampler == "reject":
         res = abc_reject(

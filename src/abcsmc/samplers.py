@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,18 +55,11 @@ class McmcKernelConfig:
     """Gaussian random-walk kernel targeting the tolerance-``epsilon`` posterior.
 
     With a box-uniform prior the prior ratio is an indicator, so the
-    kernel can reject out-of-box proposals before simulating
-    (``defer_simulation``); turning deferral off wastes simulations but
-    must not change the chain path.  ``prior_density`` switches to the
-    general accept ratio for non-uniform priors, with the uniform
-    variate drawn together with the proposal.
+    kernel rejects out-of-box proposals before simulating them.
     """
 
     sigma: np.ndarray
     epsilon: float
-    uniform_prior_shortcut: bool = True
-    defer_simulation: bool = True
-    prior_density: Callable[[np.ndarray], float] | None = None
     _factor: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -86,7 +79,6 @@ class ProposalOutcome(NamedTuple):
     theta: np.ndarray
     z: np.ndarray | None
     dist: float | None
-    in_box: bool
 
 
 class StepResult(NamedTuple):
@@ -116,25 +108,12 @@ def mcmc_abc_step(
     if current.dist > cfg.epsilon:
         raise ValueError("current state violates the kernel tolerance")
     theta_star = _draw_proposal(current.theta, cfg._factor, rng)
-    if cfg.prior_density is not None and not cfg.uniform_prior_shortcut:
-        r = rng.random()  # drawn together with the proposal
-        ratio = cfg.prior_density(theta_star) / cfg.prior_density(current.theta)
-        prior_ok = model.in_box(theta_star) and r <= ratio
-    else:
-        prior_ok = model.in_box(theta_star)
-    in_box = model.in_box(theta_star)
-
-    if not prior_ok:
-        if cfg.defer_simulation:
-            return StepResult(current, False, ProposalOutcome(theta_star, None, None, in_box))
-        z_star = simulate(model, theta_star, rng, counter, phase)
-        return StepResult(
-            current, False, ProposalOutcome(theta_star, z_star, distance(model, z_star), in_box)
-        )
+    if not model.in_box(theta_star):
+        return StepResult(current, False, ProposalOutcome(theta_star, None, None))
 
     z_star = simulate(model, theta_star, rng, counter, phase)
     d_star = distance(model, z_star)
-    proposal = ProposalOutcome(theta_star, z_star, d_star, in_box)
+    proposal = ProposalOutcome(theta_star, z_star, d_star)
     if d_star <= cfg.epsilon:
         return StepResult(Particle(theta_star, z_star, d_star), True, proposal)
     return StepResult(current, False, proposal)
@@ -151,8 +130,7 @@ def mcmc_abc_chain(
 ) -> list[Particle]:
     """Run the kernel ``n_steps`` times; at most ``n_steps`` simulations.
 
-    Each step draws from its own derived stream, so toggling
-    ``defer_simulation`` changes the simulation count but not the chain.
+    Step ``s`` draws from its own derived stream ``key.child(s)``.
     """
     if init.dist > cfg.epsilon:
         raise ValueError("chain must start within the kernel tolerance")

@@ -32,10 +32,6 @@ class SimCounter:
     def count(self, phase: str) -> int:
         return self.per_phase.get(phase, 0)
 
-    def total_excluding(self, *phases: str) -> int:
-        """Total without the named phases (e.g. reference estimation)."""
-        return self.total - sum(self.per_phase.get(p, 0) for p in phases)
-
     def snapshot(self) -> dict:
         with self._lock:
             return {"total": self.total, "per_phase": dict(self.per_phase)}

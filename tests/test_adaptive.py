@@ -11,10 +11,13 @@ from abcsmc import (
     BudgetExceededError,
     DegenerateArrayError,
     ModelSpec,
+    ParticleArray,
     RngKey,
     SimCounter,
+    SimulationError,
     calibrate_alpha,
     init_stage,
+    prior_predictive,
     proposal_scale,
     run_self_calibrated,
     smc_iteration,
@@ -69,6 +72,23 @@ class TestInitStage:
         d = res.array.dists
         assert np.all(np.diff(d) >= 0)
         assert res.epsilon0 == d[-1]
+
+    def test_array_is_best_n_of_whole_pool(self, toy, init_500):
+        # keeping only the best n per batch must equal one stable sort of
+        # every batch simulated, bit for bit
+        res, _ = init_500
+        batches = [
+            prior_predictive(toy, 500, RngKey(50).child(k))
+            for k in range(1, res.batches_used + 1)
+        ]
+        pool = ParticleArray(
+            np.concatenate([b.thetas for b in batches]),
+            np.concatenate([b.zs for b in batches]),
+            np.concatenate([b.dists for b in batches]),
+        ).sorted_by_dist().take(np.arange(500))
+        assert np.array_equal(res.array.thetas, pool.thetas)
+        assert np.array_equal(res.array.zs, pool.zs)
+        assert np.array_equal(res.array.dists, pool.dists)
 
     def test_simulation_accounting(self, init_500):
         res, counter = init_500
@@ -233,15 +253,6 @@ class TestSmcIteration:
         for j in range(m, 500):
             assert out.dists[j] <= record.epsilon or out.thetas[j, 0] in survivors
 
-    def test_literal_first_block_variant_runs(self, toy, init_500):
-        res, _ = init_500
-        sigma = proposal_scale(res.array.thetas)
-        out, record = smc_iteration(
-            res.array, sigma, toy, RngKey(58), t=1, literal_first_block=True
-        )
-        assert len(out) == 500
-        assert record.sims_used == 500
-
 
 class TestRunSelfCalibrated:
     def test_stops_on_move_probability(self, default_run):
@@ -310,6 +321,20 @@ class TestRunSelfCalibrated:
         final, trace = run_self_calibrated(toy, 300, 0.09, RngKey(64), max_iters=0)
         assert trace.iterations == []
         assert trace.stop_iter is None
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_summary_aborts(self, bad):
+        # half the prior returns a bad summary; the run must not end with
+        # a NaN tolerance or spin until the batch cap
+        model = ModelSpec(
+            param_dim=1,
+            prior_box=[(-10.0, 10.0)],
+            summary_dim=1,
+            observed=[0.0],
+            simulator=lambda t, r: np.array([bad if t[0] > 0 else t[0]]),
+        )
+        with pytest.raises(SimulationError, match="non-finite"):
+            run_self_calibrated(model, 100, 0.09, RngKey(65), max_init_batches=3)
 
     def test_validation(self, toy):
         with pytest.raises(ValueError):

@@ -34,7 +34,6 @@ class TestParsing:
         # untouched defaults survive
         assert cfg.shrink_factor == 0.5
         assert cfg.max_iters == 200
-        assert cfg.alpha_grid == 100
 
     def test_comments_and_whitespace(self):
         cfg = parse_config(
@@ -53,18 +52,13 @@ class TestParsing:
         )
         assert cfg.schedule == [2.0, 1.0, 0.5]
 
-    def test_booleans(self):
-        cfg = parse_config(
-            "sampler = self-calibrated\nn = 10\nepsilon_target = 1\n"
-            "literal_first_block = yes\nseed = 1\n"
-        )
-        assert cfg.literal_first_block is True
-        with pytest.raises(ConfigError):
-            parse_config("literal_first_block = maybe\n", validate=False)
-
     def test_unknown_key(self):
         with pytest.raises(ConfigError, match="unknown config key"):
             parse_config("sampler = reject\nbanana = 3\n", validate=False)
+        # the alpha lattice and the first-block rule are fixed, not settable
+        for line in ("alpha_grid = 100", "literal_first_block = false"):
+            with pytest.raises(ConfigError, match="unknown config key"):
+                parse_config(f"sampler = self-calibrated\n{line}\n", validate=False)
 
     def test_missing_equals(self):
         with pytest.raises(ConfigError, match="key = value"):
@@ -97,7 +91,8 @@ class TestParsing:
 
     def test_to_dict_covers_all_fields(self):
         d = RunConfig().to_dict()
-        assert "sampler" in d and "seed" in d and "alpha_grid" in d
+        assert "sampler" in d and "seed" in d and "max_init_batches" in d
+        assert len(d) == 18
 
 
 def _cfg(**kw):
@@ -182,8 +177,6 @@ class TestValidation:
                 epsilon_target=0.09,
                 max_init_batches=1,
             )
-        with pytest.raises(ConfigError, match="alpha_grid"):
-            _cfg(sampler="self-calibrated", n=100, epsilon_target=0.09, alpha_grid=0)
 
     def test_common_rules(self):
         with pytest.raises(ConfigError, match="halfwidth"):

@@ -13,11 +13,9 @@ from abcsmc import (
     RngKey,
     SimCounter,
     WeightedSample,
-    ess_aggregated,
     ess_of_thetas,
     estimate_accept_prob,
     gain_factor,
-    l1_error,
     toy_accept_prob,
     weighted_functional,
 )
@@ -59,13 +57,6 @@ class TestEss:
         ess = ess_of_thetas(_thetas([0.0, 0.0, 1.0]), weights=np.array([1.0, 2.0, 1.0]))
         assert ess == pytest.approx(16.0 / 10.0, rel=1e-12)
 
-    def test_tolerance_merges_near_duplicates(self):
-        vals = _thetas([0.0, 1e-9, 5.0])
-        assert ess_of_thetas(vals) == pytest.approx(3.0)
-        assert ess_of_thetas(vals, theta_tolerance=1e-6) == pytest.approx(9.0 / 5.0)
-        with pytest.raises(ValueError):
-            ess_of_thetas(vals, theta_tolerance=0.0)
-
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             ess_of_thetas(np.empty((0, 1)))
@@ -82,12 +73,6 @@ class TestEss:
         b = ess_of_thetas(thetas, weights=scale * w)
         assert a == pytest.approx(b, rel=1e-9)
         assert 1.0 - 1e-9 <= a <= len(np.unique(vals)) + 1e-9
-
-    def test_aggregated_wrapper(self):
-        arr = ParticleArray(
-            _thetas([1.0, 1.0]), np.zeros((2, 1)), np.zeros(2)
-        )
-        assert ess_aggregated(WeightedSample.equal(arr)) == pytest.approx(1.0)
 
 
 class TestGainFactor:
@@ -147,7 +132,7 @@ class TestEstimateAcceptProb:
         counter = SimCounter()
         estimate_accept_prob(toy, 0.09, 500, RngKey(44), counter)
         assert counter.count("reference") == 500
-        assert counter.total_excluding("reference") == 0
+        assert counter.total == 500  # nothing booked outside the reference phase
 
     def test_minimum_reference_size(self, toy):
         with pytest.raises(ValueError):
@@ -190,10 +175,6 @@ class TestWeightedFunctional:
     def test_unknown_functional(self):
         with pytest.raises(ValueError):
             weighted_functional(_sample([1.0]), "mode")
-
-    def test_l1_error(self):
-        s = _sample([0.0, 2.0])
-        assert l1_error(s, "mean", 0.0) == pytest.approx(1.0)
 
     def test_weight_validation(self):
         arr = ParticleArray(_thetas([1.0, 2.0]), np.zeros((2, 1)), np.zeros(2))

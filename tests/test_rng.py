@@ -53,13 +53,6 @@ def test_cursor_matches_fresh_generator():
         assert got == want
 
 
-def test_seek_key_equals_seek_words():
-    key = RngKey(5).child(9)
-    a = StreamCursor().seek_key(key).standard_normal(4)
-    b = StreamCursor().seek(key.key_words()).standard_normal(4)
-    assert np.array_equal(a, b)
-
-
 def test_children_are_reproducible_and_distinct():
     a = RngKey(1).child(0).generator().random(8)
     b = RngKey(1).child(0).generator().random(8)

@@ -10,10 +10,13 @@ import pytest
 from abcsmc import (
     DegenerateArrayError,
     McmcKernelConfig,
+    ModelSpec,
     Particle,
     RngKey,
     ScheduleInfeasibleError,
     SimCounter,
+    SimulationError,
+    StreamCursor,
     abc_reject,
     mcmc_abc_chain,
     mcmc_abc_step,
@@ -94,6 +97,19 @@ class TestAbcReject:
         k = len(narrow.particles)
         assert np.array_equal(narrow.particles.thetas, wide.particles.thetas[:k])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_summary_aborts(self, bad):
+        # bad summaries must not be silently dropped as "not accepted"
+        model = ModelSpec(
+            param_dim=1,
+            prior_box=[(-10.0, 10.0)],
+            summary_dim=1,
+            observed=[0.0],
+            simulator=lambda t, r: np.array([bad if t[0] > 0 else t[0]]),
+        )
+        with pytest.raises(SimulationError, match="non-finite"):
+            abc_reject(model, 1000, RngKey(18), epsilon=0.5)
+
     def test_empty_acceptance_is_allowed(self, toy):
         res = abc_reject(toy, 10, RngKey(15), epsilon=1e-12)
         assert len(res.particles) == 0
@@ -124,20 +140,24 @@ class TestMcmcKernel:
         with pytest.raises(ValueError):
             mcmc_abc_step(bad, cfg, toy, RngKey(0).generator())
 
-    def test_deferral_changes_cost_not_path(self, toy):
+    def test_out_of_box_proposal_costs_no_simulation(self, toy):
         start, _ = self._start(toy)
-        sigma = np.array([[100.0]])  # huge steps so the box rejects often
-        n = 400
-        chains, counts = [], []
-        for defer in (True, False):
-            cfg = McmcKernelConfig(sigma=sigma, epsilon=0.09, defer_simulation=defer)
+        cfg = McmcKernelConfig(sigma=np.array([[100.0]]), epsilon=0.09)
+        keys = RngKey(21).slot_keys(400)  # huge steps so the box rejects often
+        cursor = StreamCursor()
+        n_out = 0
+        for k in keys:
             counter = SimCounter()
-            chain = mcmc_abc_chain(start, n, cfg, toy, RngKey(21), counter)
-            chains.append(np.array([p.theta[0] for p in chain]))
-            counts.append(counter.total)
-        assert np.array_equal(chains[0], chains[1])
-        assert counts[0] < counts[1]  # deferral skipped some simulations
-        assert counts[1] == n  # non-deferred always simulates
+            out = mcmc_abc_step(start, cfg, toy, cursor.seek(k), counter)
+            if toy.in_box(out.proposal.theta):
+                assert counter.total == 1
+                assert out.proposal.z is not None
+            else:
+                n_out += 1
+                assert counter.total == 0
+                assert out.proposal.z is None and out.proposal.dist is None
+                assert not out.moved and out.state is start
+        assert 0 < n_out < len(keys)
 
     def test_chain_cost_at_most_steps(self, toy):
         start, _ = self._start(toy)

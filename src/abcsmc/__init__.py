@@ -37,6 +37,7 @@ from .model import (
     ParticleArray,
     distance,
     mad_scales,
+    prior_predictive,
     prior_sample,
     simulate,
     toy_model,
@@ -64,7 +65,6 @@ from .samplers import (
     mcmc_abc_chain,
     mcmc_abc_step,
     naive_smc,
-    prior_predictive,
     proposal_factor,
     proposal_scale,
 )

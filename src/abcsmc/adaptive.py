@@ -26,10 +26,10 @@ import numpy as np
 
 from .diagnostics import ess_of_thetas
 from .errors import BudgetExceededError, DegenerateArrayError
-from .model import ModelSpec, ParticleArray, distance, simulate
+from .model import ModelSpec, ParticleArray, distance, prior_predictive, simulate
 from .resampling import residual_resample
 from .rng import RngKey, StreamCursor
-from .samplers import _draw_proposal, prior_predictive, proposal_factor, proposal_scale
+from .samplers import _draw_proposal, proposal_factor, proposal_scale
 from .trace import IterationRecord, RunTrace, SimCounter
 
 PHASE_INIT = "init"
@@ -75,15 +75,29 @@ class CalibrationOutcome:
     epsilon: float
     rho_hat: float
     n_block: int
-    prop_thetas: np.ndarray
-    prop_zs: np.ndarray
-    prop_dists: np.ndarray
+    proposals: ParticleArray
     prop_in_box: np.ndarray
 
 
 def _det_var(thetas: np.ndarray) -> float:
     """Determinant of the unbiased empirical covariance of parameter rows."""
     return float(np.linalg.det(np.atleast_2d(np.cov(thetas, rowvar=False, ddof=1))))
+
+
+def _propose(model, sources, factor, keys, lo, hi, out, in_box, counter, phase) -> None:
+    """One kernel proposal and one simulation for each slot i in ``[lo, hi)``:
+    slot i steps from ``sources[i]`` on stream ``keys[i]`` and writes its
+    proposal to row i of ``out`` and its box test to ``in_box[i]``."""
+    thetas, zs, dists = out.thetas, out.zs, out.dists
+    cursor = StreamCursor()
+    for i in range(lo, hi):
+        g = cursor.seek(keys[i])
+        theta_star = _draw_proposal(sources[i], factor, g)
+        z_star = simulate(model, theta_star, g, counter, phase)
+        thetas[i] = theta_star
+        zs[i] = z_star
+        dists[i] = distance(model, z_star)
+        in_box[i] = model.in_box(theta_star)
 
 
 def init_stage(
@@ -113,11 +127,11 @@ def init_stage(
         raise ValueError("shrink factor must be positive")
     if max_batches < 2:
         raise ValueError("batch cap must allow at least two batches")
-    counter = counter if counter is not None else SimCounter()
 
     best = prior_predictive(model, n, key.child(1), counter, PHASE_INIT).sorted_by_dist()
     v1 = _det_var(best.thetas)
-    if v1 <= 0.0:
+    # not v1 <= 0: round-off can give a singular covariance a positive det
+    if np.linalg.matrix_rank(np.cov(best.thetas, rowvar=False)) < model.param_dim:
         raise DegenerateArrayError(
             "first prior-predictive batch has a singular parameter variance"
         )
@@ -143,11 +157,7 @@ def init_stage(
         batch = prior_predictive(model, n, key.child(k), counter, PHASE_INIT)
         # the sort is stable, so the best n of (best n so far + batch) are
         # exactly the best n of the whole pool, in the same order
-        best = ParticleArray(
-            np.concatenate([best.thetas, batch.thetas]),
-            np.concatenate([best.zs, batch.zs]),
-            np.concatenate([best.dists, batch.dists]),
-        ).sorted_by_dist().take(keep)
+        best = best.concat(batch).sorted_by_dist().take(keep)
         vk = _det_var(best.thetas)
         eps0 = float(best.dists[-1])
 
@@ -186,15 +196,13 @@ def calibrate_alpha(
         raise ValueError("need at least two particles")
     if np.any(np.diff(sorted_array.dists) < 0):
         raise ValueError("input array must be sorted ascending by distance")
-    counter = counter if counter is not None else SimCounter()
     factor = proposal_factor(sigma)
 
-    prop_thetas = np.empty((n, model.param_dim))
-    prop_zs = np.empty((n, model.summary_dim))
-    prop_dists = np.empty(n)
-    prop_in_box = np.zeros(n, dtype=bool)
+    props = ParticleArray(
+        np.empty((n, model.param_dim)), np.empty((n, model.summary_dim)), np.empty(n)
+    )
+    in_box = np.zeros(n, dtype=bool)
     keys = key.slot_keys(n)
-    cursor = StreamCursor()
 
     a = 0
     hi = 0
@@ -206,18 +214,12 @@ def calibrate_alpha(
         if new_hi == 0:
             continue
         eps_prime = float(sorted_array.dists[new_hi - 1])
-        for i in range(hi, new_hi):
-            g = cursor.seek(keys[i])
-            theta_star = _draw_proposal(sorted_array.thetas[i], factor, g)
-            z_star = simulate(model, theta_star, g, counter, phase)
-            prop_thetas[i] = theta_star
-            prop_zs[i] = z_star
-            prop_dists[i] = distance(model, z_star)
-            prop_in_box[i] = model.in_box(theta_star)
-        hi = new_hi
-        n_move = int(
-            np.count_nonzero(prop_in_box[:hi] & (prop_dists[:hi] <= eps_prime))
+        _propose(
+            model, sorted_array.thetas, factor, keys, hi, new_hi,
+            props, in_box, counter, phase,
         )
+        hi = new_hi
+        n_move = int(np.count_nonzero(in_box[:hi] & (props.dists[:hi] <= eps_prime)))
         # a/ALPHA_GRID + n_move/hi >= 1, tested in exact integer arithmetic
         if a * hi + n_move * ALPHA_GRID >= ALPHA_GRID * hi:
             break
@@ -227,10 +229,8 @@ def calibrate_alpha(
         epsilon=eps_prime,
         rho_hat=n_move / hi,
         n_block=hi,
-        prop_thetas=prop_thetas[:hi].copy(),
-        prop_zs=prop_zs[:hi].copy(),
-        prop_dists=prop_dists[:hi].copy(),
-        prop_in_box=prop_in_box[:hi].copy(),
+        proposals=props.take(np.arange(hi)),
+        prop_in_box=in_box[:hi].copy(),
     )
 
 
@@ -260,44 +260,26 @@ def smc_iteration(
     cal = calibrate_alpha(srt, sigma, model, key.child(_SUB_CALIBRATE), counter, phase)
     m = cal.n_block
     eps_t = cal.epsilon
-    accept = cal.prop_in_box & (cal.prop_dists <= eps_t)
-
-    head_thetas = srt.thetas[:m].copy()
-    head_zs = srt.zs[:m].copy()
-    head_dists = srt.dists[:m].copy()
-    idx = np.flatnonzero(accept)
-    head_thetas[idx] = cal.prop_thetas[idx]
-    head_zs[idx] = cal.prop_zs[idx]
-    head_dists[idx] = cal.prop_dists[idx]
 
     plan = residual_resample(
         np.full(m, 1.0 / m), n, key.child(_SUB_RESAMPLE).generator()
     )
     if not np.array_equal(plan.assignment[:m], np.arange(m)):
         raise AssertionError("resampling lost its leading-copy layout")
-    tail_src = plan.assignment[m:]
-    tail_thetas = srt.thetas[tail_src].copy()
-    tail_zs = srt.zs[tail_src].copy()
-    tail_dists = srt.dists[tail_src].copy()
+    new_array = srt.take(plan.assignment)
 
-    factor = proposal_factor(sigma)
-    fresh_keys = key.child(_SUB_FRESH).slot_keys(n)
-    cursor = StreamCursor()
-    for j in range(m, n):
-        g = cursor.seek(fresh_keys[j])
-        theta_star = _draw_proposal(tail_thetas[j - m], factor, g)
-        z_star = simulate(model, theta_star, g, counter, phase)
-        d_star = distance(model, z_star)
-        if model.in_box(theta_star) and d_star <= eps_t:
-            tail_thetas[j - m] = theta_star
-            tail_zs[j - m] = z_star
-            tail_dists[j - m] = d_star
-
-    new_array = ParticleArray(
-        np.concatenate([head_thetas, tail_thetas]),
-        np.concatenate([head_zs, tail_zs]),
-        np.concatenate([head_dists, tail_dists]),
+    # rows m..n-1 are placeholders until the fresh proposals overwrite them
+    moves = cal.proposals.concat(new_array.take(np.arange(m, n)))
+    in_box = np.concatenate([cal.prop_in_box, np.zeros(n - m, dtype=bool)])
+    _propose(
+        model, new_array.thetas, proposal_factor(sigma),
+        key.child(_SUB_FRESH).slot_keys(n), m, n, moves, in_box, counter, phase,
     )
+    accept = in_box & (moves.dists <= eps_t)
+    new_array.thetas[accept] = moves.thetas[accept]
+    new_array.zs[accept] = moves.zs[accept]
+    new_array.dists[accept] = moves.dists[accept]
+
     record = IterationRecord(
         t=t,
         epsilon=eps_t,

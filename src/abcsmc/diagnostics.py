@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelSpec, ParticleArray, distance, prior_sample, simulate
-from .rng import RngKey, StreamCursor
+from .model import ModelSpec, ParticleArray, prior_predictive
+from .rng import RngKey
 
 PHASE_REFERENCE = "reference"
 
@@ -93,14 +93,8 @@ def estimate_accept_prob(
         raise ValueError("need at least 100 reference simulations")
     if epsilon < 0:
         raise ValueError("tolerance must be non-negative")
-    cursor = StreamCursor()
-    keys = key.slot_keys(n_ref)
-    hits = 0
-    for i in range(n_ref):
-        g = cursor.seek(keys[i])
-        theta = prior_sample(model, g)
-        z = simulate(model, theta, g, counter, phase)
-        hits += distance(model, z) <= epsilon
+    dists = prior_predictive(model, n_ref, key, counter, phase).dists
+    hits = int(np.count_nonzero(dists <= epsilon))
     if hits == 0:
         return 0.0, 3.0 / n_ref
     p_hat = hits / n_ref

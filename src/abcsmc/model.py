@@ -22,6 +22,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import DegenerateArrayError, SimulationError
+from .rng import RngKey, StreamCursor
+
+PHASE_PRIOR = "prior-predictive"
 
 
 class Particle(NamedTuple):
@@ -103,8 +106,8 @@ def simulate(
 ) -> np.ndarray:
     """Run the simulator once; every call costs exactly one counter tick.
 
-    Simulator exceptions, a summary of the wrong length and a NaN or
-    infinite summary value all raise :class:`SimulationError` — a failed
+    Simulator exceptions, a summary of the wrong length (or a scalar) and a
+    NaN or infinite summary value all raise :class:`SimulationError` — a failed
     simulation aborts the run, it is never retried or counted.
     """
     try:
@@ -113,12 +116,17 @@ def simulate(
         raise SimulationError(
             f"simulator for model '{model.name}' failed at theta={theta!r}", theta
         ) from exc
-    if len(z) != model.summary_dim:
+    try:
+        if len(z) != model.summary_dim:
+            raise SimulationError(
+                f"simulator for model '{model.name}' returned {len(z)} values, "
+                f"expected {model.summary_dim}",
+                theta,
+            )
+    except TypeError as exc:  # a scalar summary has no length
         raise SimulationError(
-            f"simulator for model '{model.name}' returned {len(z)} values, "
-            f"expected {model.summary_dim}",
-            theta,
-        )
+            f"simulator for model '{model.name}' returned the scalar {z!r}", theta
+        ) from exc
     if not (math.isfinite(z[0]) if model.summary_dim == 1 else np.isfinite(z).all()):
         raise SimulationError(
             f"simulator for model '{model.name}' returned a non-finite summary "
@@ -136,6 +144,28 @@ def distance(model: ModelSpec, z: np.ndarray) -> float:
         return abs((float(z[0]) - model._obs0) * model._inv0)
     diff = (np.asarray(z, dtype=float) - model.observed) * model._inv_scales
     return float(math.sqrt(diff @ diff))
+
+
+def prior_predictive(
+    model: ModelSpec,
+    n: int,
+    key: RngKey,
+    counter=None,
+    phase: str = PHASE_PRIOR,
+) -> ParticleArray:
+    """Simulate n particles from the prior-predictive: slot i draws its
+    parameter and its summary from stream ``key.child(i)``."""
+    thetas = np.empty((n, model.param_dim))
+    zs = np.empty((n, model.summary_dim))
+    dists = np.empty(n)
+    cursor = StreamCursor()
+    keys = key.slot_keys(n)
+    for i in range(n):
+        g = cursor.seek(keys[i])
+        thetas[i] = prior_sample(model, g)
+        zs[i] = simulate(model, thetas[i], g, counter, phase)
+        dists[i] = distance(model, zs[i])
+    return ParticleArray(thetas, zs, dists)
 
 
 def toy_model(prior_halfwidth: float = 10.0) -> ModelSpec:
@@ -158,17 +188,12 @@ def toy_model(prior_halfwidth: float = 10.0) -> ModelSpec:
     )
 
 
-def mad_scales(
-    model: ModelSpec, n_pilot: int, rng: np.random.Generator, counter=None
-) -> ModelSpec:
+def mad_scales(model: ModelSpec, n_pilot: int, key: RngKey, counter=None) -> ModelSpec:
     """New spec with distance scales set to per-coordinate MADs of a
-    pilot prior-predictive sample (counted under phase ``pilot``)."""
+    pilot prior-predictive sample on ``key`` (counted under phase ``pilot``)."""
     if n_pilot < 2:
         raise ValueError("pilot size must be at least 2")
-    zs = np.empty((n_pilot, model.summary_dim))
-    for i in range(n_pilot):
-        theta = prior_sample(model, rng)
-        zs[i] = simulate(model, theta, rng, counter, phase="pilot")
+    zs = prior_predictive(model, n_pilot, key, counter, phase="pilot").zs
     med = np.median(zs, axis=0)
     mads = np.median(np.abs(zs - med), axis=0)
     if not np.all(mads > 0):
@@ -197,6 +222,14 @@ class ParticleArray:
 
     def take(self, idx) -> "ParticleArray":
         return ParticleArray(self.thetas[idx], self.zs[idx], self.dists[idx])
+
+    def concat(self, other: "ParticleArray") -> "ParticleArray":
+        """This array's particles followed by ``other``'s."""
+        return ParticleArray(
+            np.concatenate([self.thetas, other.thetas]),
+            np.concatenate([self.zs, other.zs]),
+            np.concatenate([self.dists, other.dists]),
+        )
 
     def sorted_by_dist(self) -> "ParticleArray":
         """Ascending by distance; ties keep original order (stable)."""

@@ -3,9 +3,9 @@
 Two independent routes to the truth live here:
 
 * the exact posterior of the toy model's parameter given an observation
-  of 0, evaluated by composite-trapezoid quadrature on a fixed grid
-  (100 000 nodes over the prior support), with quantiles obtained by
-  bisecting the interpolated CDF to 1e-8;
+  of 0 (quantiles also of the ABC posterior given ``|z| <= epsilon``),
+  by composite-trapezoid quadrature on a fixed grid (100 000 nodes over
+  the prior support), with quantiles from bisecting the CDF to 1e-8;
 * the prior-predictive probability that a simulated summary lands
   within distance ``epsilon`` of the observation, in closed form from
   the normal CDF (the antiderivative of ``Phi`` is ``x*Phi(x)+phi(x)``).
@@ -31,9 +31,15 @@ QUANTILE_XTOL = 1e-8
 NOISE_SCALES = (1.0, 0.1)
 
 
-def _unnormalized_pdf(theta: np.ndarray) -> np.ndarray:
-    """Toy likelihood of observing 0 at location ``theta`` (up to a constant)."""
-    return norm.pdf(theta) + 10.0 * norm.pdf(10.0 * theta)
+def _unnormalized_pdf(theta: np.ndarray, epsilon: float = 0.0) -> np.ndarray:
+    """Toy likelihood at location ``theta``, up to a constant: of observing
+    exactly 0 when ``epsilon`` is 0, else of ``|z| <= epsilon``."""
+    if epsilon == 0:
+        return norm.pdf(theta) + 10.0 * norm.pdf(10.0 * theta)
+    return sum(
+        norm.cdf((epsilon - theta) / s) - norm.cdf((-epsilon - theta) / s)
+        for s in NOISE_SCALES
+    )
 
 
 @dataclass(frozen=True)
@@ -47,11 +53,13 @@ class _Table:
 
 
 @lru_cache(maxsize=8)
-def _table(halfwidth: float) -> _Table:
+def _table(halfwidth: float, epsilon: float) -> _Table:
     if not (halfwidth > 0 and math.isfinite(halfwidth)):
         raise ValueError("halfwidth must be positive and finite")
+    if not (epsilon >= 0 and math.isfinite(epsilon)):
+        raise ValueError("epsilon must be non-negative and finite")
     grid = np.linspace(-halfwidth, halfwidth, QUAD_NODES)
-    raw = _unnormalized_pdf(grid)
+    raw = _unnormalized_pdf(grid, epsilon)
     norm_const = np.trapezoid(raw, grid)
     pdf = raw / norm_const
     cdf = cumulative_trapezoid(pdf, grid, initial=0.0)
@@ -63,7 +71,7 @@ def _table(halfwidth: float) -> _Table:
 
 def toy_posterior_pdf(theta, halfwidth: float = 10.0):
     """Normalized posterior density at ``theta`` (0 outside the support)."""
-    tab = _table(float(halfwidth))
+    tab = _table(float(halfwidth), 0.0)
     t = np.asarray(theta, dtype=float)
     inside = (t >= -tab.halfwidth) & (t <= tab.halfwidth)
     out = np.where(inside, _unnormalized_pdf(t), 0.0)
@@ -73,16 +81,20 @@ def toy_posterior_pdf(theta, halfwidth: float = 10.0):
 
 
 def toy_posterior_cdf(theta, halfwidth: float = 10.0):
-    tab = _table(float(halfwidth))
+    tab = _table(float(halfwidth), 0.0)
     t = np.asarray(theta, dtype=float)
     out = np.interp(t, tab.grid, tab.cdf, left=0.0, right=1.0)
     return float(out) if np.isscalar(theta) else out
 
 
-def toy_posterior_quantile(p: float, halfwidth: float = 10.0) -> float:
+def toy_posterior_quantile(
+    p: float, halfwidth: float = 10.0, epsilon: float = 0.0
+) -> float:
+    """Level-``p`` quantile; ``epsilon > 0`` gives the ABC posterior at that
+    tolerance, the target of rejection at ``epsilon``, instead of the exact one."""
     if not 0.0 < p < 1.0:
         raise ValueError("quantile level must be in (0, 1)")
-    tab = _table(float(halfwidth))
+    tab = _table(float(halfwidth), float(epsilon))
 
     def f(q):
         return np.interp(q, tab.grid, tab.cdf) - p
@@ -92,7 +104,7 @@ def toy_posterior_quantile(p: float, halfwidth: float = 10.0) -> float:
 
 def toy_posterior_functional(name: str, halfwidth: float = 10.0) -> float:
     """One of: mean, median, q1, q3, variance."""
-    tab = _table(float(halfwidth))
+    tab = _table(float(halfwidth), 0.0)
     if name == "mean":
         return tab.mean
     if name == "variance":

@@ -8,15 +8,14 @@ column of ``summary.csv`` and never inside trace files.
 
 Gain factors compare the sampler's simulation cost against what plain
 rejection would have spent for the same effective sample size at the
-same tolerance.  For the toy model the rejection acceptance probability
-comes from the quadrature oracle (zero simulations); other models fall
-back to a Monte Carlo estimate booked under a cost-excluded phase.
+same tolerance.  The toy model is the only model a config can name, so
+the rejection acceptance probability always comes from its closed form
+(zero simulations).
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -26,7 +25,7 @@ import numpy as np
 
 from .adaptive import run_self_calibrated
 from .config import RunConfig
-from .diagnostics import ess_of_thetas, estimate_accept_prob, gain_factor
+from .diagnostics import ess_of_thetas, gain_factor
 from .errors import BudgetExceededError, ConfigError, DegenerateArrayError
 from .model import ModelSpec, ParticleArray, toy_model
 from .oracle import toy_accept_prob
@@ -43,8 +42,6 @@ from .trace import RunTrace, SimCounter
 SUMMARY_HEADER = "replicate,total_sims,final_eps,ess,gain,iterations,wall_ms"
 GAIN_CURVE_HEADER = "iter,eps,alpha,rho,cumulative_sims,gain,stop_iter"
 TABLE1_HEADER = "sampler,replicates,cost,ess"
-
-_REFERENCE_N = 100_000  # accept-prob estimator size for models without an oracle
 
 
 @dataclass
@@ -67,13 +64,6 @@ def build_model(cfg: RunConfig) -> ModelSpec:
     raise ConfigError(f"unknown model {cfg.model!r}")
 
 
-def accept_prob_at(model: ModelSpec, epsilon: float, ref_key: RngKey) -> float:
-    """Rejection acceptance probability at ``epsilon`` for gain factors."""
-    if model.name == "toy":
-        return toy_accept_prob(epsilon, model.params["prior_halfwidth"])
-    return estimate_accept_prob(model, epsilon, _REFERENCE_N, ref_key)[0]
-
-
 def _fmt(x) -> str:
     """Shortest round-trip decimal for floats; plain digits for ints."""
     if x is None:
@@ -81,11 +71,6 @@ def _fmt(x) -> str:
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return repr(float(x))
-
-
-def _reference_key(cfg: RunConfig, replicate: int) -> RngKey:
-    # replicate channels are 1-based, leaving child(0) free for reporting
-    return RngKey(cfg.seed).child(0, replicate)
 
 
 def run_replicate(cfg: RunConfig, replicate: int) -> ReplicateResult:
@@ -141,7 +126,7 @@ def run_replicate(cfg: RunConfig, replicate: int) -> ReplicateResult:
         raise ConfigError(f"unknown sampler {cfg.sampler!r}")
 
     trace.config = {**trace.config, "replicate": replicate, "seed": cfg.seed}
-    p = accept_prob_at(model, trace.final_epsilon, _reference_key(cfg, replicate))
+    p = toy_accept_prob(trace.final_epsilon, cfg.prior_halfwidth)
     if p > 0.0 and trace.total_sims > 0:
         trace.gain = gain_factor(trace.total_sims, trace.final_ess, p)
     else:
@@ -376,17 +361,13 @@ def gain_curve(cfg: RunConfig, out_dir: str | None = None) -> str:
     write_particles_csv(os.path.join(out, "particles_1.csv"), res.particles)
     write_trace_json(os.path.join(out, "trace_1.json"), res.trace)
 
-    model = build_model(cfg)
     trace = res.trace
     init = trace.init
     k_batches = init["batches_used"]
     stop_iter = trace.stop_iter if trace.stop_iter is not None else -1
 
-    def prob(eps: float) -> float:
-        return accept_prob_at(model, eps, _reference_key(cfg, 1))
-
     def gain_at(ess: float, eps: float, cum_sims: int) -> float:
-        p = prob(eps)
+        p = toy_accept_prob(eps, cfg.prior_halfwidth)
         if p <= 0.0:
             return float("nan")
         return (ess / p) / cum_sims

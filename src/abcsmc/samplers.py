@@ -18,18 +18,18 @@ import numpy as np
 from .diagnostics import ess_of_thetas
 from .errors import DegenerateArrayError, ScheduleInfeasibleError
 from .model import (
+    PHASE_PRIOR,
     ModelSpec,
     Particle,
     ParticleArray,
     distance,
-    prior_sample,
+    prior_predictive,
     simulate,
 )
 from .resampling import residual_resample
 from .rng import RngKey, StreamCursor
 from .trace import IterationRecord, RunTrace, SimCounter
 
-PHASE_PRIOR = "prior-predictive"
 PHASE_MCMC = "mcmc"
 
 # stream sub-indices within one naive-SMC iteration
@@ -146,27 +146,6 @@ def mcmc_abc_chain(
         ).state
         chain.append(state)
     return chain
-
-
-def prior_predictive(
-    model: ModelSpec,
-    n: int,
-    key: RngKey,
-    counter=None,
-    phase: str = PHASE_PRIOR,
-) -> ParticleArray:
-    """Simulate n particles from the prior-predictive, one stream per slot."""
-    thetas = np.empty((n, model.param_dim))
-    zs = np.empty((n, model.summary_dim))
-    dists = np.empty(n)
-    cursor = StreamCursor()
-    keys = key.slot_keys(n)
-    for i in range(n):
-        g = cursor.seek(keys[i])
-        thetas[i] = prior_sample(model, g)
-        zs[i] = simulate(model, thetas[i], g, counter, phase)
-        dists[i] = distance(model, zs[i])
-    return ParticleArray(thetas, zs, dists)
 
 
 @dataclass

@@ -148,10 +148,11 @@ def test_criterion_3_posterior_correctness(toy, correctness_runs):
     ref = abc_reject(toy, 500_000, RngKey(104), epsilon=TARGET_EPS)
     p_ks = float(stats.ks_2samp(distinct, ref.particles.thetas[:, 0]).pvalue)
 
+    # quartiles of the ABC posterior at the output's own tolerance
     q_oracle = {
         "median": 0.0,
-        "q1": toy_posterior_quantile(0.25),
-        "q3": toy_posterior_quantile(0.75),
+        "q1": toy_posterior_quantile(0.25, epsilon=TARGET_EPS),
+        "q3": toy_posterior_quantile(0.75, epsilon=TARGET_EPS),
     }
     per_rep = {
         which: np.array(

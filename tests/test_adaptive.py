@@ -16,12 +16,17 @@ from abcsmc import (
     SimCounter,
     SimulationError,
     calibrate_alpha,
+    distance,
     init_stage,
     prior_predictive,
+    proposal_factor,
     proposal_scale,
+    residual_resample,
     run_self_calibrated,
+    simulate,
     smc_iteration,
 )
+from abcsmc.samplers import _draw_proposal
 
 GRID = 100
 
@@ -124,9 +129,10 @@ class TestInitStage:
         assert len(partial.array) == 100
         assert not partial.terminal
 
-    def test_rank_deficient_first_batch_is_degenerate(self):
-        # two particles cannot span a two-dimensional parameter space, so
-        # the first batch's variance determinant is zero
+    @pytest.mark.parametrize("seed", range(10))
+    def test_rank_deficient_first_batch_is_degenerate(self, seed):
+        # two particles cannot span a two-dimensional parameter space; on
+        # some streams round-off leaves a tiny positive determinant anyway
         model = ModelSpec(
             param_dim=2,
             prior_box=[(-1.0, 1.0), (-1.0, 1.0)],
@@ -135,7 +141,7 @@ class TestInitStage:
             simulator=lambda t, r: np.array([t[0]]),
         )
         with pytest.raises(DegenerateArrayError):
-            init_stage(model, 2, 0.1, RngKey(54))
+            init_stage(model, 2, 0.1, RngKey(seed))
 
     def test_validation(self, toy):
         with pytest.raises(ValueError):
@@ -174,7 +180,9 @@ class TestCalibrateAlpha:
 
     def test_rho_recount_consistent_with_cache(self, calibration):
         _, _, cal, _ = calibration
-        n_move = np.count_nonzero(cal.prop_in_box & (cal.prop_dists <= cal.epsilon))
+        n_move = np.count_nonzero(
+            cal.prop_in_box & (cal.proposals.dists <= cal.epsilon)
+        )
         assert cal.rho_hat == n_move / cal.n_block
 
     def test_returned_alpha_is_minimal(self, calibration):
@@ -190,7 +198,7 @@ class TestCalibrateAlpha:
                 continue
             eps = dists[hi - 1]
             n_move = np.count_nonzero(
-                cal.prop_in_box[:hi] & (cal.prop_dists[:hi] <= eps)
+                cal.prop_in_box[:hi] & (cal.proposals.dists[:hi] <= eps)
             )
             assert a * hi + n_move * GRID < GRID * hi
 
@@ -237,11 +245,38 @@ class TestSmcIteration:
         assert cal.epsilon == record.epsilon
         assert cal.alpha == record.alpha
         m = cal.n_block
-        accept = cal.prop_in_box & (cal.prop_dists <= cal.epsilon)
+        accept = cal.prop_in_box & (cal.proposals.dists <= cal.epsilon)
         expect_head = np.where(
-            accept[:, None], cal.prop_thetas, srt.thetas[:m]
+            accept[:, None], cal.proposals.thetas, srt.thetas[:m]
         )
         assert np.array_equal(out.thetas[:m], expect_head)
+
+    def test_tail_replays_fresh_moves(self, toy, one_step):
+        # slot j >= m steps from its resampled source on stream
+        # child(2, j) and keeps the proposal exactly when it is accepted
+        res, sigma, out, record, _ = one_step
+        srt = res.array.sorted_by_dist()
+        m = round(record.alpha * GRID) * 500 // GRID
+        plan = residual_resample(
+            np.full(m, 1.0 / m), 500, RngKey(57).child(1).generator()
+        )
+        factor = proposal_factor(sigma)
+        moved = 0
+        for j in range(m, 500):
+            source = srt.particle(plan.assignment[j])
+            g = RngKey(57).child(2, j).generator()
+            theta_star = _draw_proposal(source.theta, factor, g)
+            z_star = simulate(toy, theta_star, g)
+            d_star = distance(toy, z_star)
+            if toy.in_box(theta_star) and d_star <= record.epsilon:
+                expect = (theta_star, z_star, d_star)
+                moved += 1
+            else:
+                expect = source
+            assert np.array_equal(out.thetas[j], expect[0])
+            assert np.array_equal(out.zs[j], expect[1])
+            assert out.dists[j] == expect[2]
+        assert 0 < moved < 500 - m
 
     def test_tail_sources_are_survivors(self, one_step):
         # every tail particle either moved (within tolerance) or is a

@@ -16,6 +16,7 @@ from abcsmc import (
     ess_of_thetas,
     estimate_accept_prob,
     gain_factor,
+    prior_predictive,
     toy_accept_prob,
     weighted_functional,
 )
@@ -127,6 +128,11 @@ class TestEstimateAcceptProb:
         p_hat, se = estimate_accept_prob(toy, 0.0, 100, RngKey(43))
         assert p_hat == 0.0
         assert se == pytest.approx(3.0 / 100)
+
+    def test_hits_are_prior_predictive_slots_within_tolerance(self, toy):
+        p_hat, _ = estimate_accept_prob(toy, 0.5, 2000, RngKey(45))
+        dists = prior_predictive(toy, 2000, RngKey(45)).dists
+        assert p_hat == np.count_nonzero(dists <= 0.5) / 2000
 
     def test_cost_booked_under_reference_phase(self, toy):
         counter = SimCounter()

@@ -17,6 +17,7 @@ from abcsmc import (
     SimulationError,
     distance,
     mad_scales,
+    prior_predictive,
     prior_sample,
     simulate,
     toy_model,
@@ -198,16 +199,23 @@ class TestSimulateContract:
         assert err.value.theta is not None
         assert counter.total == 0  # failed simulations are not counted
 
-    def test_wrong_output_length_rejected(self):
+    @pytest.mark.parametrize(
+        "summary_dim, output",
+        [(2, np.array([1.0])), (1, 1.0), (1, np.float64(1.0))],
+        ids=["short-vector", "float", "np.float64"],
+    )
+    def test_wrong_output_length_rejected(self, summary_dim, output):
         model = ModelSpec(
             param_dim=1,
             prior_box=[(-1.0, 1.0)],
-            summary_dim=2,
-            observed=[0.0, 0.0],
-            simulator=lambda t, r: np.array([1.0]),
+            summary_dim=summary_dim,
+            observed=[0.0] * summary_dim,
+            simulator=lambda t, r: output,
         )
+        counter = SimCounter()
         with pytest.raises(SimulationError):
-            simulate(model, np.zeros(1), RngKey(0).generator())
+            simulate(model, np.zeros(1), RngKey(0).generator(), counter)
+        assert counter.total == 0
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("summary_dim", [1, 2])
@@ -229,7 +237,7 @@ class TestSimulateContract:
 class TestMadScales:
     def test_positive_scales_for_spread_summaries(self, toy):
         counter = SimCounter()
-        scaled = mad_scales(toy, 512, RngKey(7).generator(), counter)
+        scaled = mad_scales(toy, 512, RngKey(7), counter)
         assert scaled.distance_scales.shape == (1,)
         assert scaled.distance_scales[0] > 0
         assert counter.count("pilot") == 512
@@ -245,7 +253,23 @@ class TestMadScales:
             simulator=lambda t, r: np.array([3.14]),
         )
         with pytest.raises(DegenerateArrayError):
-            mad_scales(model, 64, RngKey(8).generator())
+            mad_scales(model, 64, RngKey(8))
+
+
+class TestPriorPredictive:
+    def test_slot_i_draws_from_child_stream_i(self, toy):
+        # the slot layout every prior-predictive caller relies on
+        key = RngKey(11)
+        counter = SimCounter()
+        arr = prior_predictive(toy, 64, key, counter)
+        assert counter.count("prior-predictive") == 64
+        for i in range(64):
+            g = key.child(i).generator()
+            theta = prior_sample(toy, g)
+            z = simulate(toy, theta, g)
+            assert np.array_equal(arr.thetas[i], theta)
+            assert np.array_equal(arr.zs[i], z)
+            assert arr.dists[i] == distance(toy, z)
 
 
 class TestParticleArray:

@@ -14,6 +14,7 @@ from abcsmc import oracle
 # Golden values frozen from the oracle before any sampler was built; the
 # cross-check tests below tie them to an independent quadrature route.
 Q3_GOLDEN = 0.15436355955898762
+Q3_EPS_009 = 0.16907  # ABC posterior at tolerance 0.09, halfwidth 10
 VARIANCE_GOLDEN = 0.505
 ACCEPT_PROB_GOLDEN = 0.009  # tolerance 0.09, prior halfwidth 10
 ACCEPT_PROB_NARROW_GOLDEN = 0.3158563921222982  # halfwidth 0.1
@@ -84,6 +85,34 @@ class TestFunctionals:
 
         q3_indep = brentq(lambda x: cdf(x) - 0.75, 0.0, 1.0, xtol=1e-12)
         assert q3_indep == pytest.approx(Q3_GOLDEN, abs=1e-6)
+
+    def test_abc_posterior_quartiles_at_tolerance(self):
+        # independent route: the ABC posterior given |z| <= 0.09 is the
+        # prior times the mixture's hit probability, normalized by quad
+        def hit_prob(t):
+            return sum(
+                stats.norm.cdf((0.09 - t) / s) - stats.norm.cdf((-0.09 - t) / s)
+                for s in (1.0, 0.1)
+            )
+
+        const, _ = integrate.quad(hit_prob, -10, 10, limit=200)
+
+        def cdf(x):
+            return integrate.quad(hit_prob, -10, x, limit=200)[0] / const
+
+        from scipy.optimize import brentq
+
+        q3_indep = brentq(lambda x: cdf(x) - 0.75, 0.0, 1.0, xtol=1e-12)
+        q3 = oracle.toy_posterior_quantile(0.75, epsilon=0.09)
+        q1 = oracle.toy_posterior_quantile(0.25, epsilon=0.09)
+        assert q3 == pytest.approx(q3_indep, abs=1e-6)
+        assert q3 == pytest.approx(Q3_EPS_009, abs=1e-5)
+        assert q1 == pytest.approx(-q3, abs=2e-8)
+        # the tolerance widens the posterior; epsilon 0 keeps the exact one
+        assert q3 > Q3_GOLDEN
+        exact = oracle.toy_posterior_quantile(0.75, epsilon=0.0)
+        assert exact == oracle.toy_posterior_quantile(0.75)
+        assert exact == pytest.approx(Q3_GOLDEN, abs=1e-10)
 
     def test_unknown_functional_rejected(self):
         with pytest.raises(ValueError):

@@ -3,7 +3,7 @@
 The scheme has two stages.  Initialization repeatedly adds prior-predictive
 batches of ``n`` particles, keeping the best ``n``, until either the
 particle cloud has concentrated (determinant of its parameter variance
-fell below ``shrink_factor`` times the first batch's) or the realized
+fell below ``SHRINK_FACTOR`` = 1/2 times the first batch's) or the realized
 tolerance already beats the target, in which case the whole scheme stops
 right there.  Each sequential iteration then co-calibrates the survivor
 fraction ``alpha`` and the move probability ``rho`` on a 1/100 lattice:
@@ -44,6 +44,7 @@ _SUB_RESAMPLE = 1
 _SUB_FRESH = 2
 
 ALPHA_GRID = 100  # candidate alphas are a/ALPHA_GRID for a = 1..ALPHA_GRID
+SHRINK_FACTOR = 0.5  # init stops once v_K < SHRINK_FACTOR * v_1
 
 
 @dataclass
@@ -84,16 +85,16 @@ def _det_var(thetas: np.ndarray) -> float:
     return float(np.linalg.det(np.atleast_2d(np.cov(thetas, rowvar=False, ddof=1))))
 
 
-def _propose(model, sources, factor, keys, lo, hi, out, in_box, counter, phase) -> None:
+def _propose(model, sources, factor, keys, lo, hi, out, in_box, counter, cursor) -> None:
     """One kernel proposal and one simulation for each slot i in ``[lo, hi)``:
-    slot i steps from ``sources[i]`` on stream ``keys[i]`` and writes its
-    proposal to row i of ``out`` and its box test to ``in_box[i]``."""
+    slot i steps from ``sources[i]`` on stream ``keys[i]`` (read through
+    ``cursor``) and writes its proposal to row i of ``out`` and its box test
+    to ``in_box[i]``."""
     thetas, zs, dists = out.thetas, out.zs, out.dists
-    cursor = StreamCursor()
     for i in range(lo, hi):
         g = cursor.seek(keys[i])
         theta_star = _draw_proposal(sources[i], factor, g)
-        z_star = simulate(model, theta_star, g, counter, phase)
+        z_star = simulate(model, theta_star, g, counter, PHASE_ITERATION)
         thetas[i] = theta_star
         zs[i] = z_star
         dists[i] = distance(model, z_star)
@@ -105,7 +106,6 @@ def init_stage(
     n: int,
     epsilon_target: float,
     key: RngKey,
-    shrink_factor: float = 0.5,
     max_batches: int = 10_000,
     counter: SimCounter | None = None,
 ) -> InitResult:
@@ -116,19 +116,22 @@ def init_stage(
     distance; ``v_K`` is the variance determinant of their parameter
     vectors, and the realized tolerance is their worst distance.  The
     loop runs while that tolerance is still at or above the target and
-    ``v_K >= shrink_factor * v_1``; at least one pass always runs, so at
-    least two batches are simulated.
+    ``v_K >= SHRINK_FACTOR * v_1``; at least one pass always runs, so at
+    least two batches are simulated.  A first batch whose distances are all
+    equal cannot rank particles, so it raises instead of running to the cap.
     """
     if n < 2:
         raise ValueError("need at least two particles")
     if not np.isfinite(epsilon_target) or epsilon_target < 0:
         raise ValueError("target tolerance must be finite and non-negative")
-    if not 0.0 < shrink_factor:
-        raise ValueError("shrink factor must be positive")
     if max_batches < 2:
         raise ValueError("batch cap must allow at least two batches")
 
     best = prior_predictive(model, n, key.child(1), counter, PHASE_INIT).sorted_by_dist()
+    if best.dists[0] == best.dists[-1]:
+        raise DegenerateArrayError(
+            "every distance in the first prior-predictive batch is equal"
+        )
     v1 = _det_var(best.thetas)
     # not v1 <= 0: round-off can give a singular covariance a positive det
     if np.linalg.matrix_rank(np.cov(best.thetas, rowvar=False)) < model.param_dim:
@@ -139,7 +142,7 @@ def init_stage(
     vk = v1
     eps0 = np.inf
     keep = np.arange(n)
-    while eps0 >= epsilon_target and vk >= shrink_factor * v1:
+    while eps0 >= epsilon_target and vk >= SHRINK_FACTOR * v1:
         k += 1
         if k > max_batches:
             partial = InitResult(
@@ -177,7 +180,6 @@ def calibrate_alpha(
     model: ModelSpec,
     key: RngKey,
     counter: SimCounter | None = None,
-    phase: str = PHASE_ITERATION,
 ) -> CalibrationOutcome:
     """Find the smallest survivor fraction with ``alpha + rho >= 1``.
 
@@ -203,6 +205,7 @@ def calibrate_alpha(
     )
     in_box = np.zeros(n, dtype=bool)
     keys = key.slot_keys(n)
+    cursor = StreamCursor()
 
     a = 0
     hi = 0
@@ -216,7 +219,7 @@ def calibrate_alpha(
         eps_prime = float(sorted_array.dists[new_hi - 1])
         _propose(
             model, sorted_array.thetas, factor, keys, hi, new_hi,
-            props, in_box, counter, phase,
+            props, in_box, counter, cursor,
         )
         hi = new_hi
         n_move = int(np.count_nonzero(in_box[:hi] & (props.dists[:hi] <= eps_prime)))
@@ -241,7 +244,6 @@ def smc_iteration(
     key: RngKey,
     t: int,
     counter: SimCounter | None = None,
-    phase: str = PHASE_ITERATION,
 ) -> tuple[ParticleArray, IterationRecord]:
     """One calibrated iteration; costs exactly ``len(array)`` simulations.
 
@@ -257,7 +259,7 @@ def smc_iteration(
     sims_before = counter.total
     srt = array.sorted_by_dist()
 
-    cal = calibrate_alpha(srt, sigma, model, key.child(_SUB_CALIBRATE), counter, phase)
+    cal = calibrate_alpha(srt, sigma, model, key.child(_SUB_CALIBRATE), counter)
     m = cal.n_block
     eps_t = cal.epsilon
 
@@ -273,7 +275,8 @@ def smc_iteration(
     in_box = np.concatenate([cal.prop_in_box, np.zeros(n - m, dtype=bool)])
     _propose(
         model, new_array.thetas, proposal_factor(sigma),
-        key.child(_SUB_FRESH).slot_keys(n), m, n, moves, in_box, counter, phase,
+        key.child(_SUB_FRESH).slot_keys(n), m, n, moves, in_box,
+        counter, StreamCursor(),
     )
     accept = in_box & (moves.dists <= eps_t)
     new_array.thetas[accept] = moves.thetas[accept]
@@ -298,9 +301,7 @@ def run_self_calibrated(
     epsilon_target: float,
     key: RngKey,
     rho_stop: float = 0.1,
-    shrink_factor: float = 0.5,
     max_iters: int = 200,
-    max_init_batches: int = 10_000,
     counter: SimCounter | None = None,
 ) -> tuple[ParticleArray, RunTrace]:
     """Full pipeline: initialization, calibrated iterations, final trim.
@@ -333,16 +334,11 @@ def run_self_calibrated(
             "n": n,
             "epsilon_target": epsilon_target,
             "rho_stop": rho_stop,
-            "shrink_factor": shrink_factor,
             "max_iters": max_iters,
-            "max_init_batches": max_init_batches,
         }
     )
 
-    init = init_stage(
-        model, n, epsilon_target, key.child(_CH_INIT),
-        shrink_factor, max_init_batches, counter,
-    )
+    init = init_stage(model, n, epsilon_target, key.child(_CH_INIT), counter=counter)
     trace.init = {
         "batches_used": init.batches_used,
         "epsilon0": init.epsilon0,

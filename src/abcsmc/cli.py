@@ -3,9 +3,7 @@
 Subcommands: ``run`` executes one configured experiment, ``table1``
 compares samplers' cost and effective sample size at a shared tolerance,
 ``gain-curve`` writes the per-iteration gain series of a self-calibrated
-run.  ``--seed``/``--workers``/``--out`` override the config file, as do
-the ``ABC_SEED``/``ABC_WORKERS`` environment variables (flags win over
-the environment, the environment wins over the file).
+run.  ``--seed``/``--workers``/``--out`` override the config file.
 
 Exit codes: 0 success, 2 configuration error, 3 runtime failure (with
 ``.partial`` artifacts preserved where applicable).
@@ -14,7 +12,6 @@ Exit codes: 0 success, 2 configuration error, 3 runtime failure (with
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .config import RunConfig, load_config, validate_config
@@ -26,23 +23,11 @@ EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
 
-def _env_int(name: str) -> int | None:
-    raw = os.environ.get(name)
-    if raw is None or raw == "":
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"environment variable {name} must be an integer, got {raw!r}")
-
-
 def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
-    seed = args.seed if args.seed is not None else _env_int("ABC_SEED")
-    workers = args.workers if args.workers is not None else _env_int("ABC_WORKERS")
-    if seed is not None:
-        cfg.seed = seed
-    if workers is not None:
-        cfg.workers = workers
+    if args.seed is not None:
+        cfg.seed = args.seed
+    if args.workers is not None:
+        cfg.workers = args.workers
     if args.out is not None:
         cfg.out_dir = args.out
     validate_config(cfg)

@@ -27,11 +27,8 @@ class RunConfig:
     quantile: float | None = None
     schedule: list[float] = field(default_factory=list)
     mcmc_steps: int = 1000
-    proposal_sd: float | None = None
     rho_stop: float = 0.1
-    shrink_factor: float = 0.5
     max_iters: int = 200
-    max_init_batches: int = 10_000
     replicates: int = 1
     seed: int | None = None
     workers: int = 1
@@ -72,11 +69,8 @@ _PARSERS = {
     "quantile": _parse_float,
     "schedule": _parse_schedule,
     "mcmc_steps": _parse_int,
-    "proposal_sd": _parse_float,
     "rho_stop": _parse_float,
-    "shrink_factor": _parse_float,
     "max_iters": _parse_int,
-    "max_init_batches": _parse_int,
     "replicates": _parse_int,
     "seed": _parse_int,
     "workers": _parse_int,
@@ -86,7 +80,7 @@ _PARSERS = {
 
 def parse_config(text: str, validate: bool = True) -> RunConfig:
     """Parse config text; ``validate=False`` defers range/requirement checks
-    so callers can apply overrides (CLI flags, env vars) first."""
+    so callers can apply overrides (CLI flags) first."""
     cfg = RunConfig()
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -154,8 +148,6 @@ def validate_config(cfg: RunConfig) -> None:
             raise ConfigError("mcmc: epsilon_target is required")
         if cfg.mcmc_steps < 0:
             raise ConfigError("mcmc: mcmc_steps must be non-negative")
-        if cfg.proposal_sd is not None and not cfg.proposal_sd > 0:
-            raise ConfigError("mcmc: proposal_sd must be positive")
     elif cfg.sampler == "naive-smc":
         if cfg.n is None or cfg.n < 2:
             raise ConfigError("naive-smc: n must be at least 2")
@@ -172,9 +164,5 @@ def validate_config(cfg: RunConfig) -> None:
             raise ConfigError("self-calibrated: epsilon_target is required")
         if not 0 < cfg.rho_stop <= 1:
             raise ConfigError("self-calibrated: rho_stop must be in (0, 1]")
-        if not cfg.shrink_factor > 0:
-            raise ConfigError("self-calibrated: shrink_factor must be positive")
         if cfg.max_iters < 0:
             raise ConfigError("self-calibrated: max_iters must be non-negative")
-        if cfg.max_init_batches < 2:
-            raise ConfigError("self-calibrated: max_init_batches must be at least 2")

@@ -79,7 +79,6 @@ def estimate_accept_prob(
     n_ref: int,
     key: RngKey,
     counter=None,
-    phase: str = PHASE_REFERENCE,
 ) -> tuple[float, float]:
     """Monte Carlo estimate of the prior-predictive acceptance probability.
 
@@ -87,13 +86,13 @@ def estimate_accept_prob(
     the standard error slot carries the rule-of-three upper bound 3/n
     instead; callers must not divide by the zero estimate.  These
     simulations are measurement apparatus, not algorithm cost: they are
-    booked under their own phase so reports can exclude them.
+    booked under ``PHASE_REFERENCE`` so reports can exclude them.
     """
     if n_ref < 100:
         raise ValueError("need at least 100 reference simulations")
     if epsilon < 0:
         raise ValueError("tolerance must be non-negative")
-    dists = prior_predictive(model, n_ref, key, counter, phase).dists
+    dists = prior_predictive(model, n_ref, key, counter, PHASE_REFERENCE).dists
     hits = int(np.count_nonzero(dists <= epsilon))
     if hits == 0:
         return 0.0, 3.0 / n_ref

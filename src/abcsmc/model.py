@@ -16,7 +16,7 @@ deviation 0.1.  The observed summary is 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -50,7 +50,6 @@ class ModelSpec:
     simulator: Callable[[np.ndarray, np.random.Generator], np.ndarray]
     distance_scales: np.ndarray | None = None
     name: str = "custom"
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.param_dim < 1 or self.summary_dim < 1:
@@ -184,7 +183,6 @@ def toy_model(prior_halfwidth: float = 10.0) -> ModelSpec:
         observed=np.array([0.0]),
         simulator=_sim,
         name="toy",
-        params={"prior_halfwidth": float(prior_halfwidth)},
     )
 
 

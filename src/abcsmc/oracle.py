@@ -46,6 +46,7 @@ def _unnormalized_pdf(theta: np.ndarray, epsilon: float = 0.0) -> np.ndarray:
 class _Table:
     halfwidth: float
     grid: np.ndarray
+    norm_const: float  # trapezoid integral of the unnormalized pdf
     pdf: np.ndarray  # normalized
     cdf: np.ndarray
     mean: float
@@ -66,7 +67,7 @@ def _table(halfwidth: float, epsilon: float) -> _Table:
     cdf = cdf / cdf[-1]  # absorb the last-digit quadrature residue
     mean = float(np.trapezoid(grid * pdf, grid))
     variance = float(np.trapezoid((grid - mean) ** 2 * pdf, grid))
-    return _Table(halfwidth, grid, pdf, cdf, mean, variance)
+    return _Table(halfwidth, grid, norm_const, pdf, cdf, mean, variance)
 
 
 def toy_posterior_pdf(theta, halfwidth: float = 10.0):
@@ -74,9 +75,7 @@ def toy_posterior_pdf(theta, halfwidth: float = 10.0):
     tab = _table(float(halfwidth), 0.0)
     t = np.asarray(theta, dtype=float)
     inside = (t >= -tab.halfwidth) & (t <= tab.halfwidth)
-    out = np.where(inside, _unnormalized_pdf(t), 0.0)
-    norm_const = np.trapezoid(_unnormalized_pdf(tab.grid), tab.grid)
-    out = out / norm_const
+    out = np.where(inside, _unnormalized_pdf(t), 0.0) / tab.norm_const
     return float(out) if np.isscalar(theta) else out
 
 

@@ -87,9 +87,7 @@ def run_replicate(cfg: RunConfig, replicate: int) -> ReplicateResult:
             cfg.epsilon_target,
             key,
             rho_stop=cfg.rho_stop,
-            shrink_factor=cfg.shrink_factor,
             max_iters=cfg.max_iters,
-            max_init_batches=cfg.max_init_batches,
             counter=counter,
         )
     elif cfg.sampler == "reject":
@@ -138,7 +136,8 @@ def run_replicate(cfg: RunConfig, replicate: int) -> ReplicateResult:
 def _run_mcmc(
     cfg: RunConfig, model: ModelSpec, key: RngKey, counter: SimCounter
 ) -> tuple[ParticleArray, RunTrace]:
-    """Warm-start one kernel chain from the best rejection draw.
+    """Warm-start one kernel chain from the best rejection draw, with the
+    proposal covariance scaled from all the warm-up particles.
 
     The chain output includes its start state (itself an exact
     tolerance-level draw), so the particle count is ``mcmc_steps + 1``.
@@ -151,11 +150,9 @@ def _run_mcmc(
             "warm-up rejection found no particle within the tolerance; "
             "increase n_prior or epsilon_target"
         )
-    if cfg.proposal_sd is not None:
-        sigma = cfg.proposal_sd**2 * np.eye(model.param_dim)
-    else:
-        sigma = proposal_scale(warm.particles.thetas)
-    kernel = McmcKernelConfig(sigma=sigma, epsilon=cfg.epsilon_target)
+    kernel = McmcKernelConfig(
+        sigma=proposal_scale(warm.particles.thetas), epsilon=cfg.epsilon_target
+    )
     chain = mcmc_abc_chain(
         warm.particles.particle(0), cfg.mcmc_steps, kernel, model, key.child(1), counter
     )

@@ -18,7 +18,6 @@ import numpy as np
 from .diagnostics import ess_of_thetas
 from .errors import DegenerateArrayError, ScheduleInfeasibleError
 from .model import (
-    PHASE_PRIOR,
     ModelSpec,
     Particle,
     ParticleArray,
@@ -31,6 +30,7 @@ from .rng import RngKey, StreamCursor
 from .trace import IterationRecord, RunTrace, SimCounter
 
 PHASE_MCMC = "mcmc"
+PHASE_NAIVE = "iteration"
 
 # stream sub-indices within one naive-SMC iteration
 _SUB_RESAMPLE = 0
@@ -102,7 +102,6 @@ def mcmc_abc_step(
     model: ModelSpec,
     rng: np.random.Generator,
     counter=None,
-    phase: str = PHASE_MCMC,
 ) -> StepResult:
     """One kernel step from ``current`` (which must satisfy the tolerance)."""
     if current.dist > cfg.epsilon:
@@ -111,7 +110,7 @@ def mcmc_abc_step(
     if not model.in_box(theta_star):
         return StepResult(current, False, ProposalOutcome(theta_star, None, None))
 
-    z_star = simulate(model, theta_star, rng, counter, phase)
+    z_star = simulate(model, theta_star, rng, counter, PHASE_MCMC)
     d_star = distance(model, z_star)
     proposal = ProposalOutcome(theta_star, z_star, d_star)
     if d_star <= cfg.epsilon:
@@ -126,7 +125,6 @@ def mcmc_abc_chain(
     model: ModelSpec,
     key: RngKey,
     counter=None,
-    phase: str = PHASE_MCMC,
 ) -> list[Particle]:
     """Run the kernel ``n_steps`` times; at most ``n_steps`` simulations.
 
@@ -141,9 +139,7 @@ def mcmc_abc_chain(
     step_keys = key.slot_keys(n_steps)
     state = init
     for s in range(n_steps):
-        state = mcmc_abc_step(
-            state, cfg, model, cursor.seek(step_keys[s]), counter, phase
-        ).state
+        state = mcmc_abc_step(state, cfg, model, cursor.seek(step_keys[s]), counter).state
         chain.append(state)
     return chain
 
@@ -169,7 +165,6 @@ def abc_reject(
     epsilon: float | None = None,
     quantile: float | None = None,
     counter=None,
-    phase: str = PHASE_PRIOR,
 ) -> RejectionResult:
     """Plain rejection: simulate ``n_prior`` prior-predictive particles and
     keep those within a tolerance, or the best quantile of them.
@@ -190,7 +185,7 @@ def abc_reject(
         if math.floor(quantile * n_prior) < 1:
             raise ValueError("quantile * n_prior must be at least 1")
 
-    pool = prior_predictive(model, n_prior, key, counter, phase)
+    pool = prior_predictive(model, n_prior, key, counter)
 
     if epsilon is not None:
         kept = pool.take(np.flatnonzero(pool.dists <= epsilon)).sorted_by_dist()
@@ -231,7 +226,6 @@ def naive_smc(
     schedule: list[float],
     key: RngKey,
     counter=None,
-    phase: str = "iteration",
 ) -> tuple[ParticleArray, RunTrace]:
     """Fixed-schedule SMC: sort, keep the within-tolerance prefix,
     residual-resample it back to n, move every particle with one kernel
@@ -239,7 +233,7 @@ def naive_smc(
 
     The proposal covariance for iteration t comes from the array as it
     stood before the iteration.  At most n simulations per iteration
-    (box rejections simulate nothing).
+    (box rejections simulate nothing), booked under ``PHASE_NAIVE``.
     """
     sched = [float(e) for e in schedule]
     if len(sched) == 0:
@@ -253,7 +247,7 @@ def naive_smc(
 
     counter = counter if counter is not None else SimCounter()
     trace = RunTrace()
-    arr = prior_predictive(model, n, key.child(0), counter, PHASE_PRIOR)
+    arr = prior_predictive(model, n, key.child(0), counter)
     cursor = StreamCursor()
 
     for t, eps_next in enumerate(sched, start=1):
@@ -275,14 +269,16 @@ def naive_smc(
         thetas = np.empty_like(resampled.thetas)
         zs = np.empty_like(resampled.zs)
         dists = np.empty_like(resampled.dists)
-        sims_before = counter.total
         moved_count = 0
+        sims = 0  # a step simulated iff its proposal carries a summary
         for j in range(n):
             res = mcmc_abc_step(
-                resampled.particle(j), cfg, model, cursor.seek(move_keys[j]), counter, phase
+                resampled.particle(j), cfg, model, cursor.seek(move_keys[j])
             )
             thetas[j], zs[j], dists[j] = res.state.theta, res.state.z, res.state.dist
             moved_count += res.moved
+            sims += res.proposal.z is not None
+        counter.bump(PHASE_NAIVE, sims)
         arr = ParticleArray(thetas, zs, dists)
         trace.iterations.append(
             IterationRecord(
@@ -290,7 +286,7 @@ def naive_smc(
                 epsilon=eps_next,
                 alpha=alpha_t,
                 rho_hat=moved_count / n,
-                sims_used=counter.total - sims_before,
+                sims_used=sims,
                 distinct_count=arr.distinct_count(),
                 ess=ess_of_thetas(arr.thetas),
             )

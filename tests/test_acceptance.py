@@ -72,6 +72,8 @@ from abcsmc import (
 )
 from abcsmc.config import RunConfig, validate_config
 
+pytestmark = pytest.mark.acceptance
+
 KS_LEVEL = 0.001
 TARGET_EPS = 0.09
 

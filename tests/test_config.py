@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import pytest
 
 from abcsmc import ConfigError, RunConfig, load_config, parse_config, validate_config
+from abcsmc.config import _PARSERS
 
 GOOD = """
 # full self-calibrated run
@@ -32,7 +35,6 @@ class TestParsing:
         assert cfg.workers == 2
         assert cfg.out_dir == "results"
         # untouched defaults survive
-        assert cfg.shrink_factor == 0.5
         assert cfg.max_iters == 200
 
     def test_comments_and_whitespace(self):
@@ -55,8 +57,15 @@ class TestParsing:
     def test_unknown_key(self):
         with pytest.raises(ConfigError, match="unknown config key"):
             parse_config("sampler = reject\nbanana = 3\n", validate=False)
-        # the alpha lattice and the first-block rule are fixed, not settable
-        for line in ("alpha_grid = 100", "literal_first_block = false"):
+        # the alpha lattice, the first-block rule, the init shrink factor,
+        # the init batch cap and the mcmc proposal scale are not settable
+        for line in (
+            "alpha_grid = 100",
+            "literal_first_block = false",
+            "shrink_factor = 0.5",
+            "max_init_batches = 10000",
+            "proposal_sd = 0.7",
+        ):
             with pytest.raises(ConfigError, match="unknown config key"):
                 parse_config(f"sampler = self-calibrated\n{line}\n", validate=False)
 
@@ -91,8 +100,11 @@ class TestParsing:
 
     def test_to_dict_covers_all_fields(self):
         d = RunConfig().to_dict()
-        assert "sampler" in d and "seed" in d and "max_init_batches" in d
-        assert len(d) == 18
+        assert "sampler" in d and "seed" in d and "max_iters" in d
+        assert len(d) == 15
+
+    def test_every_field_has_a_parser(self):
+        assert set(_PARSERS) == {f.name for f in fields(RunConfig)}
 
 
 def _cfg(**kw):
@@ -137,8 +149,6 @@ class TestValidation:
             _cfg(sampler="mcmc", n_prior=1000)
         with pytest.raises(ConfigError, match="mcmc_steps"):
             _cfg(sampler="mcmc", n_prior=1000, epsilon_target=0.1, mcmc_steps=-1)
-        with pytest.raises(ConfigError, match="proposal_sd"):
-            _cfg(sampler="mcmc", n_prior=1000, epsilon_target=0.1, proposal_sd=0.0)
 
     def test_naive_smc_rules(self):
         _cfg(sampler="naive-smc", n=10, schedule=[2.0, 1.0])
@@ -161,22 +171,8 @@ class TestValidation:
             _cfg(sampler="self-calibrated", n=100, epsilon_target=0.09, rho_stop=0.0)
         with pytest.raises(ConfigError, match="rho_stop"):
             _cfg(sampler="self-calibrated", n=100, epsilon_target=0.09, rho_stop=1.01)
-        with pytest.raises(ConfigError, match="shrink"):
-            _cfg(
-                sampler="self-calibrated",
-                n=100,
-                epsilon_target=0.09,
-                shrink_factor=0.0,
-            )
         with pytest.raises(ConfigError, match="max_iters"):
             _cfg(sampler="self-calibrated", n=100, epsilon_target=0.09, max_iters=-1)
-        with pytest.raises(ConfigError, match="max_init_batches"):
-            _cfg(
-                sampler="self-calibrated",
-                n=100,
-                epsilon_target=0.09,
-                max_init_batches=1,
-            )
 
     def test_common_rules(self):
         with pytest.raises(ConfigError, match="halfwidth"):

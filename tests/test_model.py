@@ -137,7 +137,6 @@ class TestToySimulator:
 
     def test_toy_model_metadata(self, toy):
         assert toy.name == "toy"
-        assert toy.params["prior_halfwidth"] == 10.0
         assert toy_model(0.5).prior_box[0][0] == -0.5
 
 

@@ -185,20 +185,6 @@ class TestOtherSamplers:
         # warm-up pool plus at most one simulation per step
         assert 20_000 <= res.trace.total_sims <= 20_200
 
-    def test_mcmc_fixed_proposal_sd(self, tmp_path):
-        cfg = RunConfig(
-            sampler="mcmc",
-            n_prior=20_000,
-            epsilon_target=0.2,
-            mcmc_steps=50,
-            proposal_sd=0.7,
-            seed=13,
-            replicates=1,
-        )
-        validate_config(cfg)
-        output = run_experiment(cfg, str(tmp_path))
-        assert output.results[0].trace.n_final == 51
-
 
 class TestTable1:
     def test_report_layout_and_rejection_cost(self, tmp_path):

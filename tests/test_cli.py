@@ -65,15 +65,25 @@ def test_runtime_error_exit(tmp_path, capsys):
     assert (out / "summary.csv.partial").exists()
 
 
-def test_environment_is_ignored(cfg_file, tmp_path, monkeypatch, capsys):
-    # flags are the only override of the file; no environment variable is read
+def test_seed_env_override(cfg_file, tmp_path, monkeypatch, capsys):
+    # flags are the only override of the file; ABC_SEED is not read
     monkeypatch.setenv("ABC_SEED", "777")
-    monkeypatch.setenv("ABC_WORKERS", "many")
     out = tmp_path / "env"
     assert main(["run", cfg_file, "--out", str(out)]) == EXIT_OK
     capsys.readouterr()
     payload = json.loads((out / "trace_1.json").read_text())
     assert payload["config"]["seed"] == 9
+
+
+def test_invalid_env_is_config_error(cfg_file, tmp_path, monkeypatch, capsys):
+    # an invalid ABC_WORKERS is never read; the same mistake made by flag is
+    # a config error
+    monkeypatch.setenv("ABC_WORKERS", "many")
+    assert main(["run", cfg_file, "--out", str(tmp_path / "env")]) == EXIT_OK
+    capsys.readouterr()
+    code = main(["run", cfg_file, "--workers", "0", "--out", str(tmp_path / "flag")])
+    assert code == EXIT_CONFIG
+    assert "workers" in capsys.readouterr().err
 
 
 def test_seed_flag_overrides_file(cfg_file, tmp_path, capsys):

@@ -26,14 +26,20 @@ import numpy as np
 
 from .diagnostics import ess_of_thetas
 from .errors import BudgetExceededError, DegenerateArrayError
-from .model import ModelSpec, ParticleArray, distance, prior_predictive, simulate
+from .model import (
+    PHASE_ITERATION,
+    ModelSpec,
+    ParticleArray,
+    distance,
+    prior_predictive,
+    simulate,
+)
 from .resampling import residual_resample
 from .rng import RngKey, StreamCursor
 from .samplers import _draw_proposal, proposal_factor, proposal_scale
 from .trace import IterationRecord, RunTrace, SimCounter
 
 PHASE_INIT = "init"
-PHASE_ITERATION = "iteration"
 
 # top-level stream channels of a run
 _CH_INIT = 0
@@ -117,8 +123,9 @@ def init_stage(
     vectors, and the realized tolerance is their worst distance.  The
     loop runs while that tolerance is still at or above the target and
     ``v_K >= SHRINK_FACTOR * v_1``; at least one pass always runs, so at
-    least two batches are simulated.  A first batch whose distances are all
-    equal cannot rank particles, so it raises instead of running to the cap.
+    least two batches are simulated.  A first batch whose distances all
+    equal one value at or above the target cannot rank particles, so it
+    raises instead of running to the cap.
     """
     if n < 2:
         raise ValueError("need at least two particles")
@@ -128,9 +135,10 @@ def init_stage(
         raise ValueError("batch cap must allow at least two batches")
 
     best = prior_predictive(model, n, key.child(1), counter, PHASE_INIT).sorted_by_dist()
-    if best.dists[0] == best.dists[-1]:
+    if best.dists[0] == best.dists[-1] >= epsilon_target:
         raise DegenerateArrayError(
             "every distance in the first prior-predictive batch is equal"
+            " and not below the target"
         )
     v1 = _det_var(best.thetas)
     # not v1 <= 0: round-off can give a singular covariance a positive det

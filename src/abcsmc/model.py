@@ -25,6 +25,7 @@ from .errors import DegenerateArrayError, SimulationError
 from .rng import RngKey, StreamCursor
 
 PHASE_PRIOR = "prior-predictive"
+PHASE_ITERATION = "iteration"
 
 
 class Particle(NamedTuple):

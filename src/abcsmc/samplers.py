@@ -18,6 +18,7 @@ import numpy as np
 from .diagnostics import ess_of_thetas
 from .errors import DegenerateArrayError, ScheduleInfeasibleError
 from .model import (
+    PHASE_ITERATION,
     ModelSpec,
     Particle,
     ParticleArray,
@@ -30,7 +31,6 @@ from .rng import RngKey, StreamCursor
 from .trace import IterationRecord, RunTrace, SimCounter
 
 PHASE_MCMC = "mcmc"
-PHASE_NAIVE = "iteration"
 
 # stream sub-indices within one naive-SMC iteration
 _SUB_RESAMPLE = 0
@@ -102,6 +102,7 @@ def mcmc_abc_step(
     model: ModelSpec,
     rng: np.random.Generator,
     counter=None,
+    phase: str = PHASE_MCMC,
 ) -> StepResult:
     """One kernel step from ``current`` (which must satisfy the tolerance)."""
     if current.dist > cfg.epsilon:
@@ -110,7 +111,7 @@ def mcmc_abc_step(
     if not model.in_box(theta_star):
         return StepResult(current, False, ProposalOutcome(theta_star, None, None))
 
-    z_star = simulate(model, theta_star, rng, counter, PHASE_MCMC)
+    z_star = simulate(model, theta_star, rng, counter, phase)
     d_star = distance(model, z_star)
     proposal = ProposalOutcome(theta_star, z_star, d_star)
     if d_star <= cfg.epsilon:
@@ -233,7 +234,7 @@ def naive_smc(
 
     The proposal covariance for iteration t comes from the array as it
     stood before the iteration.  At most n simulations per iteration
-    (box rejections simulate nothing), booked under ``PHASE_NAIVE``.
+    (box rejections simulate nothing), booked under ``PHASE_ITERATION``.
     """
     sched = [float(e) for e in schedule]
     if len(sched) == 0:
@@ -269,16 +270,15 @@ def naive_smc(
         thetas = np.empty_like(resampled.thetas)
         zs = np.empty_like(resampled.zs)
         dists = np.empty_like(resampled.dists)
+        sims_before = counter.total
         moved_count = 0
-        sims = 0  # a step simulated iff its proposal carries a summary
         for j in range(n):
             res = mcmc_abc_step(
-                resampled.particle(j), cfg, model, cursor.seek(move_keys[j])
+                resampled.particle(j), cfg, model, cursor.seek(move_keys[j]),
+                counter, PHASE_ITERATION,
             )
             thetas[j], zs[j], dists[j] = res.state.theta, res.state.z, res.state.dist
             moved_count += res.moved
-            sims += res.proposal.z is not None
-        counter.bump(PHASE_NAIVE, sims)
         arr = ParticleArray(thetas, zs, dists)
         trace.iterations.append(
             IterationRecord(
@@ -286,7 +286,7 @@ def naive_smc(
                 epsilon=eps_next,
                 alpha=alpha_t,
                 rho_hat=moved_count / n,
-                sims_used=sims,
+                sims_used=counter.total - sims_before,
                 distinct_count=arr.distinct_count(),
                 ess=ess_of_thetas(arr.thetas),
             )

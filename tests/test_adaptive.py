@@ -165,6 +165,23 @@ class TestInitStage:
             init_stage(model, 100, 0.09, RngKey(54), counter=counter)
         assert counter.total == 100
 
+    def test_constant_distance_below_target_is_terminal(self):
+        # every prior draw already meets the target: the prior sample is
+        # the ABC posterior, returned after the usual two batches
+        model = ModelSpec(
+            param_dim=1,
+            prior_box=[(-10.0, 10.0)],
+            summary_dim=1,
+            observed=[0.0],
+            simulator=lambda t, r: np.array([0.05]),
+        )
+        counter = SimCounter()
+        res = init_stage(model, 100, 0.09, RngKey(54), counter=counter)
+        assert res.terminal
+        assert res.epsilon0 == pytest.approx(0.05)
+        assert res.batches_used == 2
+        assert counter.total == 200
+
     def test_tied_distances_still_rank(self):
         # rounded summaries tie often but are not constant
         model = ModelSpec(

@@ -16,13 +16,7 @@ from .adaptive import (
     smc_iteration,
 )
 from .config import RunConfig, load_config, parse_config, validate_config
-from .diagnostics import (
-    WeightedSample,
-    ess_of_thetas,
-    estimate_accept_prob,
-    gain_factor,
-    weighted_functional,
-)
+from .diagnostics import ess_of_thetas, gain_factor
 from .errors import (
     AbcError,
     BudgetExceededError,
@@ -36,7 +30,6 @@ from .model import (
     Particle,
     ParticleArray,
     distance,
-    mad_scales,
     prior_predictive,
     prior_sample,
     simulate,
@@ -94,17 +87,14 @@ __all__ = [
     "SimCounter",
     "SimulationError",
     "StreamCursor",
-    "WeightedSample",
     "abc_reject",
     "calibrate_alpha",
     "distance",
     "ess_of_thetas",
-    "estimate_accept_prob",
     "gain_curve",
     "gain_factor",
     "init_stage",
     "load_config",
-    "mad_scales",
     "mcmc_abc_chain",
     "mcmc_abc_step",
     "naive_smc",
@@ -127,5 +117,4 @@ __all__ = [
     "toy_posterior_pdf",
     "toy_posterior_quantile",
     "validate_config",
-    "weighted_functional",
 ]

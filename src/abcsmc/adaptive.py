@@ -83,7 +83,6 @@ class CalibrationOutcome:
     rho_hat: float
     n_block: int
     proposals: ParticleArray
-    prop_in_box: np.ndarray
 
 
 def _det_var(thetas: np.ndarray) -> float:
@@ -91,11 +90,12 @@ def _det_var(thetas: np.ndarray) -> float:
     return float(np.linalg.det(np.atleast_2d(np.cov(thetas, rowvar=False, ddof=1))))
 
 
-def _propose(model, sources, factor, keys, lo, hi, out, in_box, counter, cursor) -> None:
+def _propose(model, sources, factor, keys, lo, hi, out, counter, cursor) -> None:
     """One kernel proposal and one simulation for each slot i in ``[lo, hi)``:
     slot i steps from ``sources[i]`` on stream ``keys[i]`` (read through
-    ``cursor``) and writes its proposal to row i of ``out`` and its box test
-    to ``in_box[i]``."""
+    ``cursor``) and writes its proposal to row i of ``out``.  A proposal
+    outside the prior box is still simulated, since the budget counts it,
+    but gets distance ``inf`` so that no tolerance accepts it."""
     thetas, zs, dists = out.thetas, out.zs, out.dists
     for i in range(lo, hi):
         g = cursor.seek(keys[i])
@@ -103,8 +103,7 @@ def _propose(model, sources, factor, keys, lo, hi, out, in_box, counter, cursor)
         z_star = simulate(model, theta_star, g, counter, PHASE_ITERATION)
         thetas[i] = theta_star
         zs[i] = z_star
-        dists[i] = distance(model, z_star)
-        in_box[i] = model.in_box(theta_star)
+        dists[i] = distance(model, z_star) if model.in_box(theta_star) else np.inf
 
 
 def init_stage(
@@ -211,14 +210,11 @@ def calibrate_alpha(
     props = ParticleArray(
         np.empty((n, model.param_dim)), np.empty((n, model.summary_dim)), np.empty(n)
     )
-    in_box = np.zeros(n, dtype=bool)
     keys = key.slot_keys(n)
     cursor = StreamCursor()
 
     a = 0
     hi = 0
-    eps_prime = float(sorted_array.dists[-1])
-    n_move = 0
     while True:
         a += 1
         new_hi = (a * n) // ALPHA_GRID
@@ -227,10 +223,10 @@ def calibrate_alpha(
         eps_prime = float(sorted_array.dists[new_hi - 1])
         _propose(
             model, sorted_array.thetas, factor, keys, hi, new_hi,
-            props, in_box, counter, cursor,
+            props, counter, cursor,
         )
         hi = new_hi
-        n_move = int(np.count_nonzero(in_box[:hi] & (props.dists[:hi] <= eps_prime)))
+        n_move = int(np.count_nonzero(props.dists[:hi] <= eps_prime))
         # a/ALPHA_GRID + n_move/hi >= 1, tested in exact integer arithmetic
         if a * hi + n_move * ALPHA_GRID >= ALPHA_GRID * hi:
             break
@@ -241,7 +237,6 @@ def calibrate_alpha(
         rho_hat=n_move / hi,
         n_block=hi,
         proposals=props.take(np.arange(hi)),
-        prop_in_box=in_box[:hi].copy(),
     )
 
 
@@ -280,13 +275,11 @@ def smc_iteration(
 
     # rows m..n-1 are placeholders until the fresh proposals overwrite them
     moves = cal.proposals.concat(new_array.take(np.arange(m, n)))
-    in_box = np.concatenate([cal.prop_in_box, np.zeros(n - m, dtype=bool)])
     _propose(
         model, new_array.thetas, proposal_factor(sigma),
-        key.child(_SUB_FRESH).slot_keys(n), m, n, moves, in_box,
-        counter, StreamCursor(),
+        key.child(_SUB_FRESH).slot_keys(n), m, n, moves, counter, StreamCursor(),
     )
-    accept = in_box & (moves.dists <= eps_t)
+    accept = moves.dists <= eps_t
     new_array.thetas[accept] = moves.thetas[accept]
     new_array.zs[accept] = moves.zs[accept]
     new_array.dists[accept] = moves.dists[accept]

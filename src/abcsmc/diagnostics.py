@@ -10,34 +10,7 @@ counting copies as independent would flatter the sampler.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-from .model import ModelSpec, ParticleArray, prior_predictive
-from .rng import RngKey
-
-PHASE_REFERENCE = "reference"
-
-
-@dataclass
-class WeightedSample:
-    particles: ParticleArray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=float)
-        if len(self.weights) != len(self.particles):
-            raise ValueError("one weight per particle required")
-        if np.any(self.weights < 0):
-            raise ValueError("weights must be non-negative")
-        if len(self.weights) and self.weights.sum() <= 0:
-            raise ValueError("weights must not all be zero")
-
-    @classmethod
-    def equal(cls, particles: ParticleArray) -> "WeightedSample":
-        n = len(particles)
-        return cls(particles, np.full(n, 1.0 / n if n else 1.0))
 
 
 def ess_of_thetas(thetas: np.ndarray, weights: np.ndarray | None = None) -> float:
@@ -71,53 +44,3 @@ def gain_factor(total_sims: int, final_ess: float, accept_prob: float) -> float:
     if final_ess < 0:
         raise ValueError("effective sample size must be non-negative")
     return (final_ess / accept_prob) / total_sims
-
-
-def estimate_accept_prob(
-    model: ModelSpec,
-    epsilon: float,
-    n_ref: int,
-    key: RngKey,
-    counter=None,
-) -> tuple[float, float]:
-    """Monte Carlo estimate of the prior-predictive acceptance probability.
-
-    Returns (estimate, binomial standard error).  With zero acceptances
-    the standard error slot carries the rule-of-three upper bound 3/n
-    instead; callers must not divide by the zero estimate.  These
-    simulations are measurement apparatus, not algorithm cost: they are
-    booked under ``PHASE_REFERENCE`` so reports can exclude them.
-    """
-    if n_ref < 100:
-        raise ValueError("need at least 100 reference simulations")
-    if epsilon < 0:
-        raise ValueError("tolerance must be non-negative")
-    dists = prior_predictive(model, n_ref, key, counter, PHASE_REFERENCE).dists
-    hits = int(np.count_nonzero(dists <= epsilon))
-    if hits == 0:
-        return 0.0, 3.0 / n_ref
-    p_hat = hits / n_ref
-    return p_hat, float(np.sqrt(p_hat * (1.0 - p_hat) / n_ref))
-
-
-def weighted_functional(sample: WeightedSample, which: str, coord: int = 0) -> float:
-    """Weighted mean/median/q1/q3 of one parameter coordinate.
-
-    Quantiles use the weighted empirical CDF with lower interpolation:
-    the smallest sample value whose cumulative weight reaches the level.
-    """
-    if len(sample.particles) == 0:
-        raise ValueError("empty sample")
-    values = sample.particles.thetas[:, coord]
-    w = sample.weights
-    total = w.sum()
-    if which == "mean":
-        return float(np.sum(values * w) / total)
-    levels = {"median": 0.5, "q1": 0.25, "q3": 0.75}
-    if which not in levels:
-        raise ValueError(f"unknown functional {which!r}")
-    order = np.argsort(values, kind="stable")
-    cum = np.cumsum(w[order])
-    pos = int(np.searchsorted(cum, levels[which] * total, side="left"))
-    pos = min(pos, len(values) - 1)
-    return float(values[order[pos]])

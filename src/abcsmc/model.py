@@ -16,12 +16,12 @@ deviation 0.1.  The observed summary is 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateArrayError, SimulationError
+from .errors import SimulationError
 from .rng import RngKey, StreamCursor
 
 PHASE_PRIOR = "prior-predictive"
@@ -185,19 +185,6 @@ def toy_model(prior_halfwidth: float = 10.0) -> ModelSpec:
         simulator=_sim,
         name="toy",
     )
-
-
-def mad_scales(model: ModelSpec, n_pilot: int, key: RngKey, counter=None) -> ModelSpec:
-    """New spec with distance scales set to per-coordinate MADs of a
-    pilot prior-predictive sample on ``key`` (counted under phase ``pilot``)."""
-    if n_pilot < 2:
-        raise ValueError("pilot size must be at least 2")
-    zs = prior_predictive(model, n_pilot, key, counter, phase="pilot").zs
-    med = np.median(zs, axis=0)
-    mads = np.median(np.abs(zs - med), axis=0)
-    if not np.all(mads > 0):
-        raise DegenerateArrayError("pilot summaries have zero spread in some coordinate")
-    return replace(model, distance_scales=mads)
 
 
 @dataclass

@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 from scipy.optimize import bisect
-from scipy.stats import norm
+from scipy.special import ndtr
 
 QUAD_NODES = 100_000
 QUANTILE_XTOL = 1e-8
@@ -31,13 +31,20 @@ QUANTILE_XTOL = 1e-8
 NOISE_SCALES = (1.0, 0.1)
 
 
+def _norm_pdf(x):
+    """Standard normal density, in the expression ``scipy.stats.norm.pdf``
+    evaluates (importing ``scipy.stats`` would double the import time)."""
+    x = np.asarray(x, dtype=float)
+    return np.exp(-(x**2) / 2.0) / np.sqrt(2 * np.pi)
+
+
 def _unnormalized_pdf(theta: np.ndarray, epsilon: float = 0.0) -> np.ndarray:
     """Toy likelihood at location ``theta``, up to a constant: of observing
     exactly 0 when ``epsilon`` is 0, else of ``|z| <= epsilon``."""
     if epsilon == 0:
-        return norm.pdf(theta) + 10.0 * norm.pdf(10.0 * theta)
+        return _norm_pdf(theta) + 10.0 * _norm_pdf(10.0 * theta)
     return sum(
-        norm.cdf((epsilon - theta) / s) - norm.cdf((-epsilon - theta) / s)
+        ndtr((epsilon - theta) / s) - ndtr((-epsilon - theta) / s)
         for s in NOISE_SCALES
     )
 
@@ -117,7 +124,7 @@ def toy_posterior_functional(name: str, halfwidth: float = 10.0) -> float:
 def _phi_integral(x: float, scale: float) -> float:
     """Antiderivative of the N(0, scale^2) CDF, evaluated at x."""
     u = x / scale
-    return scale * (u * norm.cdf(u) + norm.pdf(u))
+    return scale * (u * ndtr(u) + _norm_pdf(u))
 
 
 def toy_accept_prob(epsilon: float, halfwidth: float = 10.0) -> float:

@@ -365,9 +365,7 @@ def gain_curve(cfg: RunConfig, out_dir: str | None = None) -> str:
 
     def gain_at(ess: float, eps: float, cum_sims: int) -> float:
         p = toy_accept_prob(eps, cfg.prior_halfwidth)
-        if p <= 0.0:
-            return float("nan")
-        return (ess / p) / cum_sims
+        return gain_factor(cum_sims, ess, p) if p > 0.0 else float("nan")
 
     lines = [GAIN_CURVE_HEADER]
     cum = k_batches * cfg.n

@@ -12,9 +12,7 @@ class SimCounter:
     ``total`` always equals the sum over phases, and both only grow.
     Every call of :func:`abcsmc.model.simulate` bumps the counter it is
     given by exactly one, so the snapshot is an exact audit of simulator
-    usage.  Reference-estimation phases (used only for reporting) are
-    kept under their own phase name so they can be excluded from
-    algorithm cost.
+    usage.
     """
 
     def __init__(self) -> None:
@@ -22,12 +20,10 @@ class SimCounter:
         self.per_phase: dict[str, int] = {}
         self._lock = threading.Lock()
 
-    def bump(self, phase: str, n: int = 1) -> None:
-        if n < 0:
-            raise ValueError("counter increments must be non-negative")
+    def bump(self, phase: str) -> None:
         with self._lock:
-            self.total += n
-            self.per_phase[phase] = self.per_phase.get(phase, 0) + n
+            self.total += 1
+            self.per_phase[phase] = self.per_phase.get(phase, 0) + 1
 
     def count(self, phase: str) -> int:
         return self.per_phase.get(phase, 0)

@@ -57,7 +57,6 @@ from abcsmc import (
     McmcKernelConfig,
     ParticleArray,
     RngKey,
-    WeightedSample,
     abc_reject,
     ess_of_thetas,
     mcmc_abc_chain,
@@ -68,7 +67,6 @@ from abcsmc import (
     toy_accept_prob,
     toy_model,
     toy_posterior_quantile,
-    weighted_functional,
 )
 from abcsmc.config import RunConfig, validate_config
 
@@ -143,6 +141,15 @@ def test_criterion_2_calibrated_cost_and_ess(full_scale_calibrated_runs):
     )
 
 
+def _lower_quantile(values: np.ndarray, level: float) -> float:
+    """Smallest value whose cumulative equal weight reaches ``level``."""
+    n = len(values)
+    w = np.full(n, 1.0 / n)
+    order = np.argsort(values, kind="stable")
+    pos = int(np.searchsorted(np.cumsum(w[order]), level * w.sum(), side="left"))
+    return float(values[order[min(pos, n - 1)]])
+
+
 def test_criterion_3_posterior_correctness(toy, correctness_runs):
     final, trace = correctness_runs[0]
     assert trace.target_reached
@@ -156,12 +163,10 @@ def test_criterion_3_posterior_correctness(toy, correctness_runs):
         "q1": toy_posterior_quantile(0.25, epsilon=TARGET_EPS),
         "q3": toy_posterior_quantile(0.75, epsilon=TARGET_EPS),
     }
+    levels = {"median": 0.5, "q1": 0.25, "q3": 0.75}
     per_rep = {
         which: np.array(
-            [
-                weighted_functional(WeightedSample.equal(arr), which)
-                for arr, _ in correctness_runs
-            ]
+            [_lower_quantile(arr.thetas[:, 0], levels[which]) for arr, _ in correctness_runs]
         )
         for which in q_oracle
     }

@@ -1,8 +1,10 @@
 """Self-calibrated SMC: initialization loop, the alpha/rho calibration
 walk, single iterations, and the assembled pipeline with its exact
-simulation budget."""
+simulation budget, on the toy model and on a two-parameter model."""
 
 from __future__ import annotations
+
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from abcsmc import (
     RngKey,
     SimCounter,
     SimulationError,
+    abc_reject,
     calibrate_alpha,
     distance,
     init_stage,
@@ -25,8 +28,10 @@ from abcsmc import (
     run_self_calibrated,
     simulate,
     smc_iteration,
+    toy_model,
 )
 from abcsmc.samplers import _draw_proposal
+from conftest import assert_ks_pass
 
 GRID = 100
 
@@ -231,9 +236,7 @@ class TestCalibrateAlpha:
 
     def test_rho_recount_consistent_with_cache(self, calibration):
         _, _, cal, _ = calibration
-        n_move = np.count_nonzero(
-            cal.prop_in_box & (cal.proposals.dists <= cal.epsilon)
-        )
+        n_move = np.count_nonzero(cal.proposals.dists <= cal.epsilon)
         assert cal.rho_hat == n_move / cal.n_block
 
     def test_returned_alpha_is_minimal(self, calibration):
@@ -248,9 +251,7 @@ class TestCalibrateAlpha:
             if hi == 0:
                 continue
             eps = dists[hi - 1]
-            n_move = np.count_nonzero(
-                cal.prop_in_box[:hi] & (cal.proposals.dists[:hi] <= eps)
-            )
+            n_move = np.count_nonzero(cal.proposals.dists[:hi] <= eps)
             assert a * hi + n_move * GRID < GRID * hi
 
     def test_small_arrays_skip_empty_grid_points(self, toy, init_500):
@@ -266,6 +267,43 @@ class TestCalibrateAlpha:
         arr = res.array.take(np.arange(len(res.array))[::-1])
         with pytest.raises(ValueError):
             calibrate_alpha(arr, np.eye(1), toy, RngKey(0))
+
+
+class TestOutOfBoxProposals:
+    """On a narrow prior box many kernel proposals leave it: each is still
+    simulated and counted, carries distance inf, and is never accepted."""
+
+    @pytest.fixture(scope="class")
+    def narrow(self):
+        model = toy_model(0.1)
+        arr = prior_predictive(model, 500, RngKey(70)).sorted_by_dist()
+        return model, arr, proposal_scale(arr.thetas)
+
+    def test_calibration_simulates_and_counts_them(self, narrow):
+        model, arr, sigma = narrow
+        counter = SimCounter()
+        cal = calibrate_alpha(arr, sigma, model, RngKey(71), counter)
+        outside = np.abs(cal.proposals.thetas[:, 0]) > 0.1
+        assert np.count_nonzero(outside) >= 0.1 * cal.n_block
+        assert counter.total == cal.n_block
+        assert np.all(np.isinf(cal.proposals.dists[outside]))
+        assert np.all(np.isfinite(cal.proposals.dists[~outside]))
+        factor = proposal_factor(sigma)
+        for i in np.flatnonzero(outside):
+            g = RngKey(71).child(i).generator()
+            theta_star = _draw_proposal(arr.thetas[i], factor, g)
+            assert np.array_equal(cal.proposals.zs[i], simulate(model, theta_star, g))
+
+    def test_iteration_never_accepts_them(self, narrow):
+        model, arr, sigma = narrow
+        counter = SimCounter()
+        out, record = smc_iteration(arr, sigma, model, RngKey(72), t=1, counter=counter)
+        assert record.sims_used == counter.total == 500
+        assert np.all(np.abs(out.thetas) <= 0.1)
+        assert np.all(out.dists <= record.epsilon)
+        # the iteration's own calibration block did propose outside the box
+        cal = calibrate_alpha(arr, sigma, model, RngKey(72).child(0))
+        assert np.any(np.isinf(cal.proposals.dists))
 
 
 class TestSmcIteration:
@@ -296,7 +334,7 @@ class TestSmcIteration:
         assert cal.epsilon == record.epsilon
         assert cal.alpha == record.alpha
         m = cal.n_block
-        accept = cal.prop_in_box & (cal.proposals.dists <= cal.epsilon)
+        accept = cal.proposals.dists <= cal.epsilon
         expect_head = np.where(
             accept[:, None], cal.proposals.thetas, srt.thetas[:m]
         )
@@ -419,3 +457,68 @@ class TestRunSelfCalibrated:
             run_self_calibrated(toy, 300, 0.09, RngKey(0), rho_stop=1.5)
         with pytest.raises(ValueError):
             run_self_calibrated(toy, 300, 0.09, RngKey(0), max_iters=-1)
+
+
+def _two_coordinate_toy(theta, rng):
+    sd = np.where(rng.random(2) < 0.5, 1.0, 0.1)
+    return theta + sd * rng.standard_normal(2)
+
+
+TOY_2D = ModelSpec(
+    param_dim=2,
+    prior_box=[(-2.0, 2.0), (-2.0, 2.0)],
+    summary_dim=2,
+    observed=[0.0, 0.0],
+    simulator=_two_coordinate_toy,
+    name="toy-2d",
+)
+
+
+class TestTwoParameters:
+    """The p > 1 branches end to end: the toy noise on each of two
+    coordinates, Euclidean distance to (0, 0)."""
+
+    N = 2000
+    EPS = 0.3
+
+    def _run(self, r):
+        counter = SimCounter()
+        final, trace = run_self_calibrated(
+            TOY_2D, self.N, self.EPS, RngKey(80).child(r), counter=counter
+        )
+        return final, trace, counter
+
+    @pytest.fixture(scope="class")
+    def serial(self):
+        return [self._run(r) for r in (1, 2)]
+
+    def test_matches_rejection_per_coordinate(self, serial):
+        final, trace, _ = serial[0]
+        assert trace.target_reached
+        assert np.all(final.dists <= self.EPS)
+        ref = abc_reject(TOY_2D, 200_000, RngKey(81), epsilon=self.EPS).particles
+        distinct = np.unique(final.thetas, axis=0)
+        for j in range(2):
+            assert_ks_pass(distinct[:, j], ref.thetas[:, j])
+
+    def test_budget_identity(self, serial):
+        for _, trace, counter in serial:
+            k, t = trace.init["batches_used"], len(trace.iterations)
+            assert t >= 1
+            assert trace.total_sims == counter.total == (k + t) * self.N
+            assert counter.count("init") == k * self.N
+
+    def test_full_rank_cloud_passes_init(self):
+        # the stream replicate 1 initializes from
+        res = init_stage(TOY_2D, self.N, self.EPS, RngKey(80).child(1).child(0))
+        assert res.v_prior > 0
+        assert np.linalg.matrix_rank(np.cov(res.array.thetas, rowvar=False)) == 2
+
+    def test_thread_pool_matches_serial(self, serial):
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            pooled = list(pool.map(self._run, (1, 2)))
+        for (a, ta, _), (b, tb, _) in zip(serial, pooled):
+            assert np.array_equal(a.thetas, b.thetas)
+            assert np.array_equal(a.zs, b.zs)
+            assert np.array_equal(a.dists, b.dists)
+            assert ta.to_dict() == tb.to_dict()

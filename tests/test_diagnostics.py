@@ -1,5 +1,4 @@
-"""Diagnostics: duplicate-aggregated ESS, the efficiency gain identity,
-acceptance-probability estimation, and weighted functionals."""
+"""Diagnostics: duplicate-aggregated ESS and the efficiency gain identity."""
 
 from __future__ import annotations
 
@@ -8,18 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abcsmc import (
-    ParticleArray,
-    RngKey,
-    SimCounter,
-    WeightedSample,
-    ess_of_thetas,
-    estimate_accept_prob,
-    gain_factor,
-    prior_predictive,
-    toy_accept_prob,
-    weighted_functional,
-)
+from abcsmc import ess_of_thetas, gain_factor
 
 ACCEPT_PROB_GOLDEN = 0.009  # prior-predictive P(|z| <= 0.09), halfwidth 10
 
@@ -100,93 +88,3 @@ class TestGainFactor:
             gain_factor(10, 1.0, 1.5)
         with pytest.raises(ValueError):
             gain_factor(10, -1.0, 0.5)
-
-
-class TestEstimateAcceptProb:
-    def test_matches_closed_form(self, toy):
-        p_hat, se = estimate_accept_prob(toy, 0.09, 200_000, RngKey(40))
-        p_true = toy_accept_prob(0.09, 10.0)
-        assert p_true == pytest.approx(ACCEPT_PROB_GOLDEN, abs=1e-12)
-        assert abs(p_hat - p_true) < 4 * se
-        assert se == pytest.approx(np.sqrt(p_true * (1 - p_true) / 200_000), rel=0.2)
-
-    def test_unbiased_over_replicates(self, toy):
-        reps, n_ref = 100, 5000
-        hats = np.array(
-            [estimate_accept_prob(toy, 0.09, n_ref, RngKey(41).child(i))[0] for i in range(reps)]
-        )
-        p_true = toy_accept_prob(0.09, 10.0)
-        se_mean = np.sqrt(p_true * (1 - p_true) / (n_ref * reps))
-        assert abs(hats.mean() - p_true) < 4 * se_mean
-
-    def test_certain_acceptance(self, toy):
-        p_hat, se = estimate_accept_prob(toy, 1e6, 100, RngKey(42))
-        assert p_hat == 1.0
-        assert se == 0.0
-
-    def test_zero_hits_rule_of_three(self, toy):
-        p_hat, se = estimate_accept_prob(toy, 0.0, 100, RngKey(43))
-        assert p_hat == 0.0
-        assert se == pytest.approx(3.0 / 100)
-
-    def test_hits_are_prior_predictive_slots_within_tolerance(self, toy):
-        p_hat, _ = estimate_accept_prob(toy, 0.5, 2000, RngKey(45))
-        dists = prior_predictive(toy, 2000, RngKey(45)).dists
-        assert p_hat == np.count_nonzero(dists <= 0.5) / 2000
-
-    def test_cost_booked_under_reference_phase(self, toy):
-        counter = SimCounter()
-        estimate_accept_prob(toy, 0.09, 500, RngKey(44), counter)
-        assert counter.count("reference") == 500
-        assert counter.total == 500  # nothing booked outside the reference phase
-
-    def test_minimum_reference_size(self, toy):
-        with pytest.raises(ValueError):
-            estimate_accept_prob(toy, 0.09, 99, RngKey(0))
-
-
-def _sample(values, weights=None):
-    values = np.asarray(values, dtype=float)
-    arr = ParticleArray(
-        values.reshape(-1, 1), np.zeros((len(values), 1)), np.zeros(len(values))
-    )
-    if weights is None:
-        return WeightedSample.equal(arr)
-    return WeightedSample(arr, np.asarray(weights, dtype=float))
-
-
-class TestWeightedFunctional:
-    def test_mean(self):
-        s = _sample([1.0, 2.0, 3.0], [1.0, 1.0, 2.0])
-        assert weighted_functional(s, "mean") == pytest.approx(2.25)
-
-    def test_median_lower_interpolation(self):
-        # cumulative weights 0.25, 0.50, 1.00: the 0.5 level is first
-        # reached at the second value
-        s = _sample([10.0, 20.0, 30.0], [0.25, 0.25, 0.5])
-        assert weighted_functional(s, "median") == 20.0
-
-    def test_quartiles_on_equal_weights(self):
-        s = _sample(np.arange(1.0, 5.0))  # 1 2 3 4
-        assert weighted_functional(s, "q1") == 1.0
-        assert weighted_functional(s, "median") == 2.0
-        assert weighted_functional(s, "q3") == 3.0
-
-    def test_order_independence(self):
-        a = _sample([3.0, 1.0, 2.0], [0.2, 0.5, 0.3])
-        b = _sample([1.0, 2.0, 3.0], [0.5, 0.3, 0.2])
-        for which in ("mean", "median", "q1", "q3"):
-            assert weighted_functional(a, which) == weighted_functional(b, which)
-
-    def test_unknown_functional(self):
-        with pytest.raises(ValueError):
-            weighted_functional(_sample([1.0]), "mode")
-
-    def test_weight_validation(self):
-        arr = ParticleArray(_thetas([1.0, 2.0]), np.zeros((2, 1)), np.zeros(2))
-        with pytest.raises(ValueError):
-            WeightedSample(arr, np.array([0.5]))
-        with pytest.raises(ValueError):
-            WeightedSample(arr, np.array([-0.1, 1.1]))
-        with pytest.raises(ValueError):
-            WeightedSample(arr, np.array([0.0, 0.0]))

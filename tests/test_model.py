@@ -16,7 +16,6 @@ from abcsmc import (
     SimCounter,
     SimulationError,
     distance,
-    mad_scales,
     prior_predictive,
     prior_sample,
     simulate,
@@ -231,28 +230,6 @@ class TestSimulateContract:
             simulate(model, np.array([0.25]), RngKey(0).generator(), counter)
         assert err.value.theta[0] == 0.25
         assert counter.total == 0
-
-
-class TestMadScales:
-    def test_positive_scales_for_spread_summaries(self, toy):
-        counter = SimCounter()
-        scaled = mad_scales(toy, 512, RngKey(7), counter)
-        assert scaled.distance_scales.shape == (1,)
-        assert scaled.distance_scales[0] > 0
-        assert counter.count("pilot") == 512
-
-    def test_constant_summary_is_degenerate(self):
-        from abcsmc import DegenerateArrayError
-
-        model = ModelSpec(
-            param_dim=1,
-            prior_box=[(-1.0, 1.0)],
-            summary_dim=1,
-            observed=[0.0],
-            simulator=lambda t, r: np.array([3.14]),
-        )
-        with pytest.raises(DegenerateArrayError):
-            mad_scales(model, 64, RngKey(8))
 
 
 class TestPriorPredictive:

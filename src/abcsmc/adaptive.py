@@ -16,6 +16,16 @@ block of kernel moves, so an iteration costs exactly ``n`` simulations:
 ones after resampling.  The run stops once the estimated move
 probability drops to ``rho_stop``, and a final rejection step trims the
 output to the target tolerance when possible.
+
+Kernel proposals of one stage (a calibration, or an iteration's fresh
+moves) come from per-slot streams: slot i draws its proposal's p
+normals and then its simulation from a Generator on stream
+``key.child(i)``.  For a model with a batch simulator, the first
+``p + draws_per_slot`` Philox words of every slot of the stage are
+computed at once, and each run of slots is one block call on
+:class:`SlotStreams` over them, which reproduces those Generator draws;
+the few slots whose normals need more than one word are drawn again
+from their Generators.  Either way the results are bit-identical.
 """
 
 from __future__ import annotations
@@ -24,18 +34,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import ess_of_thetas
+from .diagnostics import distinct_and_ess, ess_of_thetas
 from .errors import BudgetExceededError, DegenerateArrayError
 from .model import (
     PHASE_ITERATION,
     ModelSpec,
     ParticleArray,
     distance,
+    distances,
     prior_predictive,
     simulate,
+    simulate_batch,
 )
 from .resampling import residual_resample
-from .rng import RngKey, StreamCursor
+from .rng import RngKey, SlotStreams, StreamCursor, philox_words
 from .samplers import _draw_proposal, proposal_factor, proposal_scale
 from .trace import IterationRecord, RunTrace, SimCounter
 
@@ -90,14 +102,39 @@ def _det_var(thetas: np.ndarray) -> float:
     return float(np.linalg.det(np.atleast_2d(np.cov(thetas, rowvar=False, ddof=1))))
 
 
-def _propose(model, sources, factor, keys, lo, hi, out, counter, cursor) -> None:
+def _stage_words(model: ModelSpec, keys: np.ndarray) -> np.ndarray | None:
+    """Philox words of every slot of a stage for :func:`_propose`'s block
+    path (the proposal's p normals, then the simulator's draws), or None
+    for a model without a batch simulator."""
+    if model.simulator_batch is None:
+        return None
+    return philox_words(keys, model.param_dim + model.draws_per_slot)
+
+
+def _propose(model, sources, factor, keys, words, lo, hi, out, counter, cursor) -> None:
     """One kernel proposal and one simulation for each slot i in ``[lo, hi)``:
-    slot i steps from ``sources[i]`` on stream ``keys[i]`` (read through
-    ``cursor``) and writes its proposal to row i of ``out``.  A proposal
-    outside the prior box is still simulated, since the budget counts it,
-    but gets distance ``inf`` so that no tolerance accepts it."""
+    slot i steps from ``sources[i]`` on stream ``keys[i]`` and writes its
+    proposal to row i of ``out``.  ``words`` is :func:`_stage_words` of
+    ``keys``; slots that the block path cannot reproduce, and every slot
+    when ``words`` is None, are drawn from a Generator through ``cursor``.
+    A proposal outside the prior box is still simulated, since the budget
+    counts it, but gets distance ``inf`` so that no tolerance accepts it.
+    ``out`` must not share memory with ``sources``."""
+    slots = range(lo, hi)
+    if words is not None:
+        rng = SlotStreams(words[lo:hi])
+        normals = rng.standard_normal(model.param_dim)
+        # a stacked product rounds like the per-slot factor @ normals
+        theta_star = sources[lo:hi] + np.matmul(factor, normals[:, :, None])[:, :, 0]
+        z_star = simulate_batch(model, theta_star, rng, counter, PHASE_ITERATION)
+        d_star = distances(model, z_star)
+        d_star[~model.in_box_rows(theta_star)] = np.inf
+        out.thetas[lo:hi] = theta_star
+        out.zs[lo:hi] = z_star
+        out.dists[lo:hi] = d_star
+        slots = lo + np.flatnonzero(~rng.ok)
     thetas, zs, dists = out.thetas, out.zs, out.dists
-    for i in range(lo, hi):
+    for i in slots:
         g = cursor.seek(keys[i])
         theta_star = _draw_proposal(sources[i], factor, g)
         z_star = simulate(model, theta_star, g, counter, PHASE_ITERATION)
@@ -211,6 +248,7 @@ def calibrate_alpha(
         np.empty((n, model.param_dim)), np.empty((n, model.summary_dim)), np.empty(n)
     )
     keys = key.slot_keys(n)
+    words = _stage_words(model, keys)
     cursor = StreamCursor()
 
     a = 0
@@ -222,7 +260,7 @@ def calibrate_alpha(
             continue
         eps_prime = float(sorted_array.dists[new_hi - 1])
         _propose(
-            model, sorted_array.thetas, factor, keys, hi, new_hi,
+            model, sorted_array.thetas, factor, keys, words, hi, new_hi,
             props, counter, cursor,
         )
         hi = new_hi
@@ -273,25 +311,29 @@ def smc_iteration(
         raise AssertionError("resampling lost its leading-copy layout")
     new_array = srt.take(plan.assignment)
 
-    # rows m..n-1 are placeholders until the fresh proposals overwrite them
-    moves = cal.proposals.concat(new_array.take(np.arange(m, n)))
+    # slot m + j of the tail moves on stream child(_SUB_FRESH, m + j); its
+    # rows are placeholders until the fresh proposals overwrite them
+    fresh = new_array.take(np.arange(m, n))
+    keys = key.child(_SUB_FRESH).slot_keys(n)[m:]
     _propose(
-        model, new_array.thetas, proposal_factor(sigma),
-        key.child(_SUB_FRESH).slot_keys(n), m, n, moves, counter, StreamCursor(),
+        model, new_array.thetas[m:], proposal_factor(sigma), keys,
+        _stage_words(model, keys), 0, n - m, fresh, counter, StreamCursor(),
     )
+    moves = cal.proposals.concat(fresh)
     accept = moves.dists <= eps_t
     new_array.thetas[accept] = moves.thetas[accept]
     new_array.zs[accept] = moves.zs[accept]
     new_array.dists[accept] = moves.dists[accept]
 
+    distinct, ess = distinct_and_ess(new_array.thetas)
     record = IterationRecord(
         t=t,
         epsilon=eps_t,
         alpha=cal.alpha,
         rho_hat=cal.rho_hat,
         sims_used=counter.total - sims_before,
-        distinct_count=new_array.distinct_count(),
-        ess=ess_of_thetas(new_array.thetas),
+        distinct_count=distinct,
+        ess=ess,
     )
     return new_array, record
 

@@ -11,6 +11,13 @@ The built-in ``toy`` model has a scalar parameter with a box-uniform
 prior, and simulates ``z = theta + e`` where ``e`` is drawn from an
 equal-weight mixture of a standard normal and a normal with standard
 deviation 0.1.  The observed summary is 0.
+
+A model may also provide a batch simulator: the scalar simulator
+written on arrays, which maps an (m, p) array of parameters and the
+lockstep streams of m slots (:class:`abcsmc.rng.SlotStreams`) to an
+(m, summary_dim) array of summaries.  Making the same draws in the same
+order as the scalar simulator, it returns the same summaries bit for
+bit, so a model gives the same run with or without it.
 """
 
 from __future__ import annotations
@@ -21,8 +28,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .diagnostics import duplicate_groups
 from .errors import SimulationError
-from .rng import RngKey, StreamCursor
+from .rng import RngKey, SlotStreams, StreamCursor
 
 PHASE_PRIOR = "prior-predictive"
 PHASE_ITERATION = "iteration"
@@ -41,7 +49,14 @@ class ModelSpec:
     prior_box has shape (param_dim, 2) with strictly increasing rows;
     distance_scales are strictly positive and default to 1 per summary
     coordinate.  The simulator must return a length-``summary_dim``
-    vector and may consume its rng stream freely.
+    vector and may consume its rng stream freely.  The optional
+    ``simulator_batch(thetas, rng)`` simulates every row of an (m, p)
+    parameter array at once from the slots' :class:`SlotStreams`
+    ``rng``, taking ``draws_per_slot`` draws per slot (``rng.random`` or
+    ``rng.standard_normal``, one word each), and returns (m, summary_dim)
+    summaries; it must make the scalar simulator's draws in the same
+    order.  The kernel moves of the self-calibrated sampler use it when
+    it is given.
     """
 
     param_dim: int
@@ -51,10 +66,14 @@ class ModelSpec:
     simulator: Callable[[np.ndarray, np.random.Generator], np.ndarray]
     distance_scales: np.ndarray | None = None
     name: str = "custom"
+    simulator_batch: Callable[[np.ndarray, SlotStreams], np.ndarray] | None = None
+    draws_per_slot: int = 0
 
     def __post_init__(self):
         if self.param_dim < 1 or self.summary_dim < 1:
             raise ValueError("param_dim and summary_dim must be positive")
+        if self.draws_per_slot < 0:
+            raise ValueError("draws_per_slot must be non-negative")
         box = np.asarray(self.prior_box, dtype=float).reshape(self.param_dim, 2)
         if not np.all(box[:, 0] < box[:, 1]):
             raise ValueError("prior box must have lower < upper in every coordinate")
@@ -85,6 +104,10 @@ class ModelSpec:
             t = theta[0]
             return self._lo[0] <= t <= self._hi[0]
         return bool(np.all(theta >= self._lo) and np.all(theta <= self._hi))
+
+    def in_box_rows(self, thetas: np.ndarray) -> np.ndarray:
+        """:meth:`in_box` of every row of an (m, p) array."""
+        return np.all((thetas >= self._lo) & (thetas <= self._hi), axis=1)
 
 
 def prior_sample(
@@ -138,12 +161,63 @@ def simulate(
     return z
 
 
+def simulate_batch(
+    model: ModelSpec,
+    thetas: np.ndarray,
+    rng: SlotStreams,
+    counter=None,
+    phase: str = "simulate",
+) -> np.ndarray:
+    """Run the batch simulator on every row of ``thetas``, slot i drawing
+    from row i of ``rng``; row i equals what :func:`simulate` gives on
+    slot i's Generator wherever ``rng.ok[i]`` holds afterwards.  Only
+    those rows are checked and counted, in one bump; the caller simulates
+    the others again from their Generators.
+
+    The block is checked once: an exception, a result that is not an
+    (m, summary_dim) array, or a NaN or infinite value raises
+    :class:`SimulationError` before the counter moves.
+    """
+    m = len(thetas)
+    try:
+        zs = np.asarray(model.simulator_batch(thetas, rng), dtype=float)
+    except Exception as exc:  # tagged and re-raised, never swallowed
+        raise SimulationError(
+            f"batch simulator for model '{model.name}' failed on {m} rows"
+        ) from exc
+    if zs.shape != (m, model.summary_dim):
+        raise SimulationError(
+            f"batch simulator for model '{model.name}' returned shape {zs.shape}, "
+            f"expected {(m, model.summary_dim)}"
+        )
+    finite = np.isfinite(zs).all(axis=1) | ~rng.ok
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise SimulationError(
+            f"batch simulator for model '{model.name}' returned a non-finite "
+            f"summary {zs[i]!r} at theta={thetas[i]!r}",
+            thetas[i],
+        )
+    if counter is not None:
+        counter.bump(phase, int(np.count_nonzero(rng.ok)))
+    return zs
+
+
 def distance(model: ModelSpec, z: np.ndarray) -> float:
     """Euclidean distance between scaled summaries and the observation."""
     if model.summary_dim == 1:
         return abs((float(z[0]) - model._obs0) * model._inv0)
     diff = (np.asarray(z, dtype=float) - model.observed) * model._inv_scales
     return float(math.sqrt(diff @ diff))
+
+
+def distances(model: ModelSpec, zs: np.ndarray) -> np.ndarray:
+    """:func:`distance` of every row of an (m, summary_dim) summary array."""
+    if model.summary_dim == 1:
+        return np.abs((zs[:, 0] - model._obs0) * model._inv0)
+    diff = (zs - model.observed) * model._inv_scales
+    # a stacked product rounds like the per-row diff @ diff
+    return np.sqrt(np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0])
 
 
 def prior_predictive(
@@ -177,6 +251,10 @@ def toy_model(prior_halfwidth: float = 10.0) -> ModelSpec:
         sd = 1.0 if rng.random() < 0.5 else 0.1
         return np.array([theta[0] + sd * rng.standard_normal()])
 
+    def _sim_batch(thetas: np.ndarray, rng: SlotStreams) -> np.ndarray:
+        sd = np.where(rng.random() < 0.5, 1.0, 0.1)
+        return thetas + (sd * rng.standard_normal())[:, None]
+
     return ModelSpec(
         param_dim=1,
         prior_box=np.array([[-prior_halfwidth, prior_halfwidth]]),
@@ -184,6 +262,8 @@ def toy_model(prior_halfwidth: float = 10.0) -> ModelSpec:
         observed=np.array([0.0]),
         simulator=_sim,
         name="toy",
+        simulator_batch=_sim_batch,
+        draws_per_slot=2,
     )
 
 
@@ -222,4 +302,4 @@ class ParticleArray:
         return self.take(np.argsort(self.dists, kind="stable"))
 
     def distinct_count(self) -> int:
-        return len(np.unique(self.thetas, axis=0))
+        return int(duplicate_groups(self.thetas).max(initial=-1)) + 1

@@ -13,6 +13,13 @@ for one-off use; :class:`StreamCursor` reuses a single Philox instance
 and resets its state per slot, which is several times faster when
 millions of short-lived streams are needed in a tight loop.  Both
 constructions yield bit-identical draws for the same key.
+
+:func:`philox_words` computes the first raw words of many streams at
+once, as whole-array Philox4x64-10 rounds (Salmon et al., "Parallel
+random numbers: as easy as 1, 2, 3", SC'11): row i equals
+``np.random.Philox(key=keys[i]).random_raw(k)`` bit for bit.
+:class:`SlotStreams` turns those words into the draws the slots'
+Generators would make, for all slots at once.
 """
 
 from __future__ import annotations
@@ -20,6 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from . import _ziggurat
 
 _MASK = 0xFFFFFFFFFFFFFFFF
 _GAMMA = 0x9E3779B97F4A7C15
@@ -98,6 +107,112 @@ class RngKey:
     def generator(self) -> np.random.Generator:
         """Fresh numpy Generator on this stream."""
         return np.random.Generator(np.random.Philox(key=self.key_words()))
+
+
+_U64 = np.uint64
+_LO32 = _U64(0xFFFFFFFF)
+_SHIFT32 = _U64(32)
+_SHIFT8 = _U64(8)
+_SHIFT9 = _U64(9)
+_SHIFT11 = _U64(11)
+_LO8 = _U64(0xFF)
+_LO52 = _U64(0x000FFFFFFFFFFFFF)
+_ZIG_KI = np.array(_ziggurat.KI, dtype=np.uint64)
+_ZIG_WI = np.array(_ziggurat.WI, dtype=np.float64)
+# Philox4x64 round multipliers and Weyl key increments, as (ctr 0, ctr 2)
+# and (key 0, key 1) columns
+_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+_PHILOX_M_LO = _PHILOX_M & _LO32
+_PHILOX_M_HI = _PHILOX_M >> _SHIFT32
+_PHILOX_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
+_PHILOX_ROUNDS = 10
+
+
+def philox_words(keys: np.ndarray, k: int) -> np.ndarray:
+    """First ``k`` raw 64-bit words of every stream in ``keys``, shape (n, k).
+
+    ``keys`` is an (n, 2) array of key words such as
+    :meth:`RngKey.slot_keys` returns.  Row i is bit-identical to
+    ``np.random.Philox(key=keys[i]).random_raw(k)``: numpy's Philox
+    starts at counter 0 and increments it before each block, so words
+    ``4b .. 4b+3`` are the Philox4x64-10 block of counter ``b + 1``.
+    """
+    keys = np.asarray(keys, dtype=np.uint64)
+    n = len(keys)
+    if k < 0:
+        raise ValueError("word count must be non-negative")
+    blocks = -(-k // 4)
+    # one column per (slot, block): counter words (b + 1, 0, 0, 0)
+    ctr = np.zeros((4, n * blocks), dtype=np.uint64)
+    ctr[0] = np.tile(np.arange(1, blocks + 1, dtype=np.uint64), n)
+    key = np.repeat(keys.T, blocks, axis=1)
+    with np.errstate(over="ignore"):
+        for r in range(_PHILOX_ROUNDS):
+            if r:
+                key += _PHILOX_W
+            # 128-bit products of (M0, M1) with counter words (0, 2)
+            x = ctr[0::2]
+            x_lo, x_hi = x & _LO32, x >> _SHIFT32
+            ll = _PHILOX_M_LO * x_lo
+            hl = _PHILOX_M_HI * x_lo
+            lh = _PHILOX_M_LO * x_hi
+            mid = (ll >> _SHIFT32) + (hl & _LO32) + (lh & _LO32)
+            hi = _PHILOX_M_HI * x_hi + (hl >> _SHIFT32) + (lh >> _SHIFT32)
+            hi += mid >> _SHIFT32
+            lo = _PHILOX_M * x
+            nxt = np.empty_like(ctr)
+            nxt[0] = hi[1] ^ ctr[1] ^ key[0]
+            nxt[1] = lo[1]
+            nxt[2] = hi[0] ^ ctr[3] ^ key[1]
+            nxt[3] = lo[0]
+            ctr = nxt
+    return ctr.T.reshape(n, 4 * blocks)[:, :k]
+
+
+class SlotStreams:
+    """The Generators of many slots, drawing in lockstep from their words.
+
+    Row i of ``words`` holds the first raw words of slot i's stream, as
+    :func:`philox_words` returns them.  Each draw takes the next word of
+    every slot and returns, per slot, the value that slot's
+    ``np.random.Generator(np.random.Philox(key))`` would return for the
+    same draw: ``random`` as numpy's ``(w >> 11) * 2**-53``,
+    ``standard_normal`` as the one-word path of numpy's ziggurat.  That
+    path covers about 98.5 % of normal draws; a slot with a normal outside
+    it gets ``ok[i] = False``, and its values from then on are not the
+    Generator's, so the caller must draw that slot again from its
+    Generator.  ``size=k`` takes k words per slot and returns shape
+    (m, k), like the Generator's ``size``.
+    """
+
+    def __init__(self, words: np.ndarray) -> None:
+        self._words = words
+        self._next = 0
+        self.ok = np.ones(len(words), dtype=bool)
+
+    def _take(self, size: int | None) -> np.ndarray:
+        k = 1 if size is None else size
+        if self._next + k > self._words.shape[1]:
+            raise ValueError(
+                f"slot streams hold {self._words.shape[1]} words per slot; "
+                f"a draw needed word {self._next + k}"
+            )
+        w = self._words[:, self._next:self._next + k]
+        self._next += k
+        return w[:, 0] if size is None else w
+
+    def random(self, size: int | None = None) -> np.ndarray:
+        return (self._take(size) >> _SHIFT11).astype(np.float64) * 2.0**-53
+
+    def standard_normal(self, size: int | None = None) -> np.ndarray:
+        w = self._take(size)
+        idx = (w & _LO8).astype(np.intp)
+        rabs = (w >> _SHIFT9) & _LO52
+        x = rabs.astype(np.float64) * _ZIG_WI[idx]
+        x = np.where(((w >> _SHIFT8) & _U64(1)).astype(bool), -x, x)
+        one_word = rabs < _ZIG_KI[idx]
+        self.ok &= one_word if size is None else one_word.all(axis=1)
+        return x
 
 
 class StreamCursor:

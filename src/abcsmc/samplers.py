@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .diagnostics import ess_of_thetas
+from .diagnostics import distinct_and_ess
 from .errors import DegenerateArrayError, ScheduleInfeasibleError
 from .model import (
     PHASE_ITERATION,
@@ -280,6 +280,7 @@ def naive_smc(
             thetas[j], zs[j], dists[j] = res.state.theta, res.state.z, res.state.dist
             moved_count += res.moved
         arr = ParticleArray(thetas, zs, dists)
+        distinct, ess = distinct_and_ess(arr.thetas)
         trace.iterations.append(
             IterationRecord(
                 t=t,
@@ -287,8 +288,8 @@ def naive_smc(
                 alpha=alpha_t,
                 rho_hat=moved_count / n,
                 sims_used=counter.total - sims_before,
-                distinct_count=arr.distinct_count(),
-                ess=ess_of_thetas(arr.thetas),
+                distinct_count=distinct,
+                ess=ess,
             )
         )
 

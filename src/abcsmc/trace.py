@@ -11,8 +11,9 @@ class SimCounter:
 
     ``total`` always equals the sum over phases, and both only grow.
     Every call of :func:`abcsmc.model.simulate` bumps the counter it is
-    given by exactly one, so the snapshot is an exact audit of simulator
-    usage.
+    given by exactly one, and :func:`abcsmc.model.simulate_batch` by its
+    row count in one call, so the snapshot is an exact audit of
+    simulator usage.
     """
 
     def __init__(self) -> None:
@@ -20,10 +21,10 @@ class SimCounter:
         self.per_phase: dict[str, int] = {}
         self._lock = threading.Lock()
 
-    def bump(self, phase: str) -> None:
+    def bump(self, phase: str, n: int = 1) -> None:
         with self._lock:
-            self.total += 1
-            self.per_phase[phase] = self.per_phase.get(phase, 0) + 1
+            self.total += n
+            self.per_phase[phase] = self.per_phase.get(phase, 0) + n
 
     def count(self, phase: str) -> int:
         return self.per_phase.get(phase, 0)

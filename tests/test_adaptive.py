@@ -1,9 +1,13 @@
 """Self-calibrated SMC: initialization loop, the alpha/rho calibration
 walk, single iterations, and the assembled pipeline with its exact
-simulation budget, on the toy model and on a two-parameter model."""
+simulation budget, on the toy model and on a two-parameter model.  Both
+models have a batch simulator, so their kernel moves take the block
+path; the same model without it (``_scalar_only``) draws slot by slot,
+and the two give identical results."""
 
 from __future__ import annotations
 
+import dataclasses
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -30,10 +34,16 @@ from abcsmc import (
     smc_iteration,
     toy_model,
 )
+from abcsmc.rng import SlotStreams, philox_words
 from abcsmc.samplers import _draw_proposal
 from conftest import assert_ks_pass
 
 GRID = 100
+
+
+def _scalar_only(model):
+    """The same model without its batch simulator."""
+    return dataclasses.replace(model, simulator_batch=None)
 
 
 @pytest.fixture(scope="module")
@@ -53,15 +63,24 @@ def calibration(toy, init_500):
     return res, sigma, cal, counter
 
 
-@pytest.fixture(scope="module")
-def one_step(toy, init_500):
+def _one_step(model, init_500):
     res, _ = init_500
     sigma = proposal_scale(res.array.thetas)
     counter = SimCounter()
     out, record = smc_iteration(
-        res.array, sigma, toy, RngKey(57), t=1, counter=counter
+        res.array, sigma, model, RngKey(57), t=1, counter=counter
     )
     return res, sigma, out, record, counter
+
+
+@pytest.fixture(scope="module")
+def one_step(toy, init_500):
+    return _one_step(toy, init_500)
+
+
+@pytest.fixture(scope="module")
+def one_step_scalar(toy, init_500):
+    return _one_step(_scalar_only(toy), init_500)
 
 
 @pytest.fixture(scope="module")
@@ -279,8 +298,8 @@ class TestOutOfBoxProposals:
         arr = prior_predictive(model, 500, RngKey(70)).sorted_by_dist()
         return model, arr, proposal_scale(arr.thetas)
 
-    def test_calibration_simulates_and_counts_them(self, narrow):
-        model, arr, sigma = narrow
+    @staticmethod
+    def _replay_calibration(model, arr, sigma):
         counter = SimCounter()
         cal = calibrate_alpha(arr, sigma, model, RngKey(71), counter)
         outside = np.abs(cal.proposals.thetas[:, 0]) > 0.1
@@ -293,6 +312,15 @@ class TestOutOfBoxProposals:
             g = RngKey(71).child(i).generator()
             theta_star = _draw_proposal(arr.thetas[i], factor, g)
             assert np.array_equal(cal.proposals.zs[i], simulate(model, theta_star, g))
+
+    def test_calibration_simulates_and_counts_them(self, narrow):
+        model, arr, sigma = narrow
+        self._replay_calibration(_scalar_only(model), arr, sigma)
+
+    def test_block_calibration_simulates_and_counts_them(self, narrow):
+        # the block path replays the same Generator draws
+        model, arr, sigma = narrow
+        self._replay_calibration(model, arr, sigma)
 
     def test_iteration_never_accepts_them(self, narrow):
         model, arr, sigma = narrow
@@ -340,7 +368,8 @@ class TestSmcIteration:
         )
         assert np.array_equal(out.thetas[:m], expect_head)
 
-    def test_tail_replays_fresh_moves(self, toy, one_step):
+    @staticmethod
+    def _replay_tail(toy, one_step):
         # slot j >= m steps from its resampled source on stream
         # child(2, j) and keeps the proposal exactly when it is accepted
         res, sigma, out, record, _ = one_step
@@ -366,6 +395,46 @@ class TestSmcIteration:
             assert np.array_equal(out.zs[j], expect[1])
             assert out.dists[j] == expect[2]
         assert 0 < moved < 500 - m
+
+    def test_tail_replays_fresh_moves(self, toy, one_step_scalar):
+        self._replay_tail(_scalar_only(toy), one_step_scalar)
+
+    def test_tail_replays_fresh_moves_on_block_path(self, toy, one_step):
+        # the block path replays the same Generator draws
+        self._replay_tail(toy, one_step)
+
+    def test_block_path_equals_per_slot_path(self, toy, one_step, one_step_scalar):
+        *_, out, record, counter = one_step
+        *_, out_s, record_s, counter_s = one_step_scalar
+        assert np.array_equal(out.thetas, out_s.thetas)
+        assert np.array_equal(out.zs, out_s.zs)
+        assert np.array_equal(out.dists, out_s.dists)
+        assert record == record_s
+        assert counter.snapshot() == counter_s.snapshot()
+        # some fresh slots needed a second word for a normal, so the
+        # block path handed them to the Generator
+        rng = SlotStreams(philox_words(RngKey(57).child(2).slot_keys(500), 3))
+        rng.standard_normal(1)
+        toy.simulator_batch(np.zeros((500, 1)), rng)
+        assert 0 < np.count_nonzero(~rng.ok) < 50
+
+    def test_bad_batch_block_aborts_before_counting(self, init_500):
+        # a non-finite block raises before its simulations are booked
+        model = ModelSpec(
+            param_dim=1,
+            prior_box=[(-10.0, 10.0)],
+            summary_dim=1,
+            observed=[0.0],
+            simulator=lambda t, r: t,
+            simulator_batch=lambda t, rng: np.where(t > 0, np.nan, t),
+        )
+        res, _ = init_500
+        counter = SimCounter()
+        with pytest.raises(SimulationError, match="non-finite"):
+            calibrate_alpha(
+                res.array, proposal_scale(res.array.thetas), model, RngKey(58), counter
+            )
+        assert counter.total == 0
 
 
 class TestRunSelfCalibrated:
@@ -460,6 +529,8 @@ class TestRunSelfCalibrated:
 
 
 def _two_coordinate_toy(theta, rng):
+    # theta is one (2,) vector with a Generator, or (m, 2) rows with
+    # SlotStreams; the draws are the same either way
     sd = np.where(rng.random(2) < 0.5, 1.0, 0.1)
     return theta + sd * rng.standard_normal(2)
 
@@ -471,20 +542,25 @@ TOY_2D = ModelSpec(
     observed=[0.0, 0.0],
     simulator=_two_coordinate_toy,
     name="toy-2d",
+    simulator_batch=_two_coordinate_toy,
+    draws_per_slot=4,
 )
 
 
 class TestTwoParameters:
     """The p > 1 branches end to end: the toy noise on each of two
-    coordinates, Euclidean distance to (0, 0)."""
+    coordinates, Euclidean distance to (0, 0).  Kernel moves take the
+    block path (stacked ``factor @ normals``, row-wise box and distance);
+    :class:`TestTwoParametersScalar` runs the same tests slot by slot."""
 
+    MODEL = TOY_2D
     N = 2000
     EPS = 0.3
 
     def _run(self, r):
         counter = SimCounter()
         final, trace = run_self_calibrated(
-            TOY_2D, self.N, self.EPS, RngKey(80).child(r), counter=counter
+            self.MODEL, self.N, self.EPS, RngKey(80).child(r), counter=counter
         )
         return final, trace, counter
 
@@ -496,7 +572,7 @@ class TestTwoParameters:
         final, trace, _ = serial[0]
         assert trace.target_reached
         assert np.all(final.dists <= self.EPS)
-        ref = abc_reject(TOY_2D, 200_000, RngKey(81), epsilon=self.EPS).particles
+        ref = abc_reject(self.MODEL, 200_000, RngKey(81), epsilon=self.EPS).particles
         distinct = np.unique(final.thetas, axis=0)
         for j in range(2):
             assert_ks_pass(distinct[:, j], ref.thetas[:, j])
@@ -510,7 +586,7 @@ class TestTwoParameters:
 
     def test_full_rank_cloud_passes_init(self):
         # the stream replicate 1 initializes from
-        res = init_stage(TOY_2D, self.N, self.EPS, RngKey(80).child(1).child(0))
+        res = init_stage(self.MODEL, self.N, self.EPS, RngKey(80).child(1).child(0))
         assert res.v_prior > 0
         assert np.linalg.matrix_rank(np.cov(res.array.thetas, rowvar=False)) == 2
 
@@ -522,3 +598,20 @@ class TestTwoParameters:
             assert np.array_equal(a.zs, b.zs)
             assert np.array_equal(a.dists, b.dists)
             assert ta.to_dict() == tb.to_dict()
+
+
+class TestTwoParametersScalar(TestTwoParameters):
+    """The same tests with kernel moves drawn slot by slot from Generators."""
+
+    MODEL = _scalar_only(TOY_2D)
+
+    def test_block_path_equals_per_slot_path(self, serial):
+        for r, (final, trace, counter) in zip((1, 2), serial):
+            counter_b = SimCounter()
+            final_b, trace_b = run_self_calibrated(
+                TOY_2D, self.N, self.EPS, RngKey(80).child(r), counter=counter_b
+            )
+            assert np.array_equal(final.thetas, final_b.thetas)
+            assert np.array_equal(final.zs, final_b.zs)
+            assert trace.to_dict() == trace_b.to_dict()
+            assert counter.snapshot() == counter_b.snapshot()

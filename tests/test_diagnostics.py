@@ -1,4 +1,5 @@
-"""Diagnostics: duplicate-aggregated ESS and the efficiency gain identity."""
+"""Diagnostics: the duplicate-row grouping, duplicate-aggregated ESS and
+the efficiency gain identity."""
 
 from __future__ import annotations
 
@@ -8,12 +9,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abcsmc import ess_of_thetas, gain_factor
+from abcsmc.diagnostics import distinct_and_ess, duplicate_groups
 
 ACCEPT_PROB_GOLDEN = 0.009  # prior-predictive P(|z| <= 0.09), halfwidth 10
 
 
 def _thetas(values):
     return np.asarray(values, dtype=float).reshape(-1, 1)
+
+
+class TestDuplicateGroups:
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_counts_match_unique_rows(self, p):
+        rng = np.random.default_rng(p)
+        base = rng.normal(size=(40, p))
+        thetas = base[rng.integers(0, 40, size=300)]
+        if p == 2:
+            # rows that agree in one coordinate only are distinct
+            thetas[:20, 0] = base[0, 0]
+        groups = duplicate_groups(thetas)
+        _, inverse, counts = np.unique(
+            thetas, axis=0, return_inverse=True, return_counts=True
+        )
+        assert counts.max() > 1
+        assert np.array_equal(np.bincount(groups), counts)
+        assert np.array_equal(groups, inverse.ravel())
+        assert distinct_and_ess(thetas) == (len(counts), ess_of_thetas(thetas))
 
 
 class TestEss:

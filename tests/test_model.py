@@ -3,6 +3,7 @@ Euclidean distance's metric properties, and exact simulation accounting."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -21,6 +22,8 @@ from abcsmc import (
     simulate,
     toy_model,
 )
+from abcsmc.model import simulate_batch
+from abcsmc.rng import SlotStreams, philox_words
 from conftest import assert_ks_pass
 
 
@@ -134,6 +137,38 @@ class TestToySimulator:
         p = stats.kstest(zs, cdf).pvalue
         assert p >= 0.001
 
+    @staticmethod
+    def _block_draws(toy, thetas, key):
+        """Row i simulated on stream key.child(i): one block, then the slots
+        the block cannot reproduce from their Generators."""
+        keys = key.slot_keys(len(thetas))
+        rng = SlotStreams(philox_words(keys, toy.draws_per_slot))
+        zs = simulate_batch(toy, thetas, rng)
+        for i in np.flatnonzero(~rng.ok):
+            zs[i] = simulate(toy, thetas[i], key.child(i).generator())
+        return zs, rng.ok
+
+    def test_batch_simulator_equals_scalar_simulator(self, toy):
+        thetas = np.linspace(-10.0, 10.0, 2000)[:, None]
+        zs, ok = self._block_draws(toy, thetas, RngKey(12))
+        assert 0 < np.count_nonzero(~ok) < 100
+        for i in range(2000):
+            g = RngKey(12).child(i).generator()
+            assert np.array_equal(zs[i], simulate(toy, thetas[i], g))
+
+    def test_batch_ks_against_mixture_cdf(self, toy):
+        # 100 000 block draws, slot i on stream RngKey(5).child(i)
+        theta = 1.3
+        zs, _ = self._block_draws(toy, np.full((100_000, 1), theta), RngKey(5))
+
+        def cdf(x):
+            return 0.5 * stats.norm.cdf(x - theta) + 0.5 * stats.norm.cdf(
+                10.0 * (x - theta)
+            )
+
+        p = stats.kstest(zs[:, 0], cdf).pvalue
+        assert p >= 0.001
+
     def test_toy_model_metadata(self, toy):
         assert toy.name == "toy"
         assert toy_model(0.5).prior_box[0][0] == -0.5
@@ -230,6 +265,77 @@ class TestSimulateContract:
             simulate(model, np.array([0.25]), RngKey(0).generator(), counter)
         assert err.value.theta[0] == 0.25
         assert counter.total == 0
+
+
+class TestSimulateBatchContract:
+    def _model(self, batch, summary_dim=1):
+        return ModelSpec(
+            param_dim=1,
+            prior_box=[(-1.0, 1.0)],
+            summary_dim=summary_dim,
+            observed=[0.0] * summary_dim,
+            simulator=lambda t, r: np.zeros(summary_dim),
+            simulator_batch=batch,
+            draws_per_slot=1,
+        )
+
+    @staticmethod
+    def _streams(m):
+        return SlotStreams(np.zeros((m, 1), dtype=np.uint64))
+
+    def test_counter_bumps_once_by_the_row_count(self, toy):
+        counter = SimCounter()
+        thetas = np.linspace(-1.0, 1.0, 300)[:, None]
+        rng = SlotStreams(philox_words(RngKey(13).slot_keys(300), 2))
+        zs = simulate_batch(toy, thetas, rng, counter, "phase-a")
+        assert zs.shape == (300, 1)
+        assert 0 < np.count_nonzero(rng.ok) < 300
+        assert counter.count("phase-a") == counter.total == np.count_nonzero(rng.ok)
+
+    def test_rows_left_to_the_generator_are_not_checked(self):
+        # strip 1 never takes the one-word path, strip 2 with rabs 0 does
+        rng = SlotStreams(np.array([[1], [2]], dtype=np.uint64))
+
+        def batch(thetas, rng):
+            rng.standard_normal()
+            return np.where(rng.ok[:, None], thetas, np.nan)
+
+        counter = SimCounter()
+        zs = simulate_batch(self._model(batch), np.zeros((2, 1)), rng, counter)
+        assert rng.ok.tolist() == [False, True]
+        assert zs[1, 0] == 0.0
+        assert counter.total == 1
+
+    @pytest.mark.parametrize(
+        "output",
+        [
+            lambda t, rng: np.where(t > 0, math.nan, t),
+            lambda t, rng: np.where(t > 0, math.inf, t),
+            lambda t, rng: np.where(t > 0, -math.inf, t),
+            lambda t, rng: t[:, 0],
+            lambda t, rng: t[:-1],
+            lambda t, rng: np.hstack([t, t]),
+        ],
+        ids=["nan", "inf", "-inf", "flat", "short", "wide"],
+    )
+    def test_bad_block_rejected_before_counting(self, output):
+        counter = SimCounter()
+        thetas = np.linspace(-1.0, 1.0, 6)[:, None]
+        with pytest.raises(SimulationError):
+            simulate_batch(self._model(output), thetas, self._streams(6), counter)
+        assert counter.total == 0
+
+    def test_failure_wrapped(self):
+        def bad(thetas, u):
+            raise RuntimeError("backend exploded")
+
+        with pytest.raises(SimulationError) as err:
+            simulate_batch(self._model(bad), np.zeros((3, 1)), self._streams(3))
+        assert isinstance(err.value.__cause__, RuntimeError)
+
+    def test_draw_count_validated(self):
+        with pytest.raises(ValueError):
+            dataclasses.replace(toy_model(), draws_per_slot=-1)
 
 
 class TestPriorPredictive:

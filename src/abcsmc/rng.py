@@ -126,6 +126,10 @@ _PHILOX_M_LO = _PHILOX_M & _LO32
 _PHILOX_M_HI = _PHILOX_M >> _SHIFT32
 _PHILOX_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
 _PHILOX_ROUNDS = 10
+# Philox blocks computed per pass.  A call allocates its scratch (about
+# 0.7 MiB) once and reuses it for every round and pass, so its rounds
+# neither map fresh pages nor stream through memory beyond L2.
+_PHILOX_CHUNK = 4096
 
 
 def philox_words(keys: np.ndarray, k: int) -> np.ndarray:
@@ -136,37 +140,61 @@ def philox_words(keys: np.ndarray, k: int) -> np.ndarray:
     ``np.random.Philox(key=keys[i]).random_raw(k)``: numpy's Philox
     starts at counter 0 and increments it before each block, so words
     ``4b .. 4b+3`` are the Philox4x64-10 block of counter ``b + 1``.
+    The rounds run in place on scratch arrays of ``_PHILOX_CHUNK``
+    blocks, one pass per run of slots.
     """
     keys = np.asarray(keys, dtype=np.uint64)
     n = len(keys)
     if k < 0:
         raise ValueError("word count must be non-negative")
     blocks = -(-k // 4)
+    words = np.empty((n, 4 * blocks), dtype=np.uint64)
+    per_pass = _PHILOX_CHUNK // max(blocks, 1)
+    width = min(n, per_pass) * blocks
     # one column per (slot, block): counter words (b + 1, 0, 0, 0)
-    ctr = np.zeros((4, n * blocks), dtype=np.uint64)
-    ctr[0] = np.tile(np.arange(1, blocks + 1, dtype=np.uint64), n)
-    key = np.repeat(keys.T, blocks, axis=1)
+    first = np.tile(np.arange(1, blocks + 1, dtype=np.uint64), min(n, per_pass))
+    ctr, nxt = np.empty((4, width), np.uint64), np.empty((4, width), np.uint64)
+    key, x_lo, x_hi, ll, hl, lh, hi = (np.empty((2, width), np.uint64) for _ in range(7))
     with np.errstate(over="ignore"):
-        for r in range(_PHILOX_ROUNDS):
-            if r:
-                key += _PHILOX_W
-            # 128-bit products of (M0, M1) with counter words (0, 2)
-            x = ctr[0::2]
-            x_lo, x_hi = x & _LO32, x >> _SHIFT32
-            ll = _PHILOX_M_LO * x_lo
-            hl = _PHILOX_M_HI * x_lo
-            lh = _PHILOX_M_LO * x_hi
-            mid = (ll >> _SHIFT32) + (hl & _LO32) + (lh & _LO32)
-            hi = _PHILOX_M_HI * x_hi + (hl >> _SHIFT32) + (lh >> _SHIFT32)
-            hi += mid >> _SHIFT32
-            lo = _PHILOX_M * x
-            nxt = np.empty_like(ctr)
-            nxt[0] = hi[1] ^ ctr[1] ^ key[0]
-            nxt[1] = lo[1]
-            nxt[2] = hi[0] ^ ctr[3] ^ key[1]
-            nxt[3] = lo[0]
-            ctr = nxt
-    return ctr.T.reshape(n, 4 * blocks)[:, :k]
+        for s0 in range(0, n, per_pass):
+            s1 = min(n, s0 + per_pass)
+            m = (s1 - s0) * blocks
+            c, d, kk = ctr[:, :m], nxt[:, :m], key[:, :m]
+            a_lo, a_hi, p_ll, p_hl, p_lh, p_hi = (
+                a[:, :m] for a in (x_lo, x_hi, ll, hl, lh, hi)
+            )
+            c[0] = first[:m]
+            c[1:] = 0
+            kk[...] = np.repeat(keys[s0:s1].T, blocks, axis=1)
+            for r in range(_PHILOX_ROUNDS):
+                if r:
+                    kk += _PHILOX_W
+                # 128-bit products of (M0, M1) with counter words (0, 2),
+                # from 32-bit halves; no partial sum below overflows
+                x = c[0::2]
+                np.bitwise_and(x, _LO32, out=a_lo)
+                np.right_shift(x, _SHIFT32, out=a_hi)
+                np.multiply(_PHILOX_M_LO, a_lo, out=p_ll)
+                np.multiply(_PHILOX_M_HI, a_lo, out=p_hl)
+                np.multiply(_PHILOX_M_LO, a_hi, out=p_lh)
+                np.multiply(_PHILOX_M_HI, a_hi, out=p_hi)
+                p_ll >>= _SHIFT32
+                p_hl += p_ll
+                np.bitwise_and(p_hl, _LO32, out=p_ll)
+                p_lh += p_ll
+                p_hl >>= _SHIFT32
+                p_hi += p_hl
+                p_lh >>= _SHIFT32
+                p_hi += p_lh
+                # low halves go to words 3 and 1, in that order
+                np.multiply(_PHILOX_M, x, out=d[3::-2])
+                np.bitwise_xor(p_hi[1], c[1], out=d[0])
+                d[0] ^= kk[0]
+                np.bitwise_xor(p_hi[0], c[3], out=d[2])
+                d[2] ^= kk[1]
+                c, d = d, c
+            words.reshape(n * blocks, 4)[s0 * blocks:s1 * blocks] = c.T
+    return words[:, :k]
 
 
 class SlotStreams:

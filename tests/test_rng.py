@@ -95,6 +95,17 @@ def test_philox_words_match_numpy_philox(k):
     assert np.array_equal(words, want)
 
 
+@pytest.mark.parametrize("k", [0, 3, 6])
+def test_philox_words_across_passes(k):
+    # 5000 slots take two passes at one block per slot and three at two,
+    # the last one partial; slots at every pass boundary are checked
+    keys = RngKey(33).slot_keys(5000)
+    words = philox_words(keys, k)
+    assert words.shape == (5000, k)
+    for i in (0, 2047, 2048, 4095, 4096, 4999):
+        assert np.array_equal(words[i], np.random.Philox(key=keys[i]).random_raw(k))
+
+
 def test_slot_streams_reproduce_generators():
     keys = RngKey(32).slot_keys(2000)
     rng = SlotStreams(philox_words(keys, 7))

@@ -17,15 +17,16 @@ ones after resampling.  The run stops once the estimated move
 probability drops to ``rho_stop``, and a final rejection step trims the
 output to the target tolerance when possible.
 
-Kernel proposals of one stage (a calibration, or an iteration's fresh
-moves) come from per-slot streams: slot i draws its proposal's p
-normals and then its simulation from a Generator on stream
-``key.child(i)``.  For a model with a batch simulator, the first
-``p + draws_per_slot`` Philox words of every slot of the stage are
-computed at once, and each run of slots is one block call on
-:class:`SlotStreams` over them, which reproduces those Generator draws;
-the few slots whose normals need more than one word are drawn again
-from their Generators.  Either way the results are bit-identical.
+Kernel proposals of one stage (a calibration, an iteration's fresh
+moves, or the moves of one fixed-schedule SMC step) come from per-slot
+streams: slot i draws its proposal's p normals and then its simulation
+from a Generator on stream ``key.child(i)``.  For a model with a batch
+simulator, the first ``p + draws_per_slot`` Philox words of every slot
+of the stage are computed at once, and each run of slots is one block
+call on :class:`SlotStreams` over them, which reproduces those
+Generator draws; the few slots whose normals need more than one word
+are drawn again from their Generators.  Either way the results are
+bit-identical.
 """
 
 from __future__ import annotations
@@ -111,36 +112,58 @@ def _stage_words(model: ModelSpec, keys: np.ndarray) -> np.ndarray | None:
     return philox_words(keys, model.param_dim + model.draws_per_slot)
 
 
-def _propose(model, sources, factor, keys, words, lo, hi, out, counter, cursor) -> None:
-    """One kernel proposal and one simulation for each slot i in ``[lo, hi)``:
+def _propose(
+    model, sources, factor, keys, words, lo, hi, out, counter, cursor, defer=False
+) -> None:
+    """One kernel proposal and its simulation for each slot i in ``[lo, hi)``:
     slot i steps from ``sources[i]`` on stream ``keys[i]`` and writes its
     proposal to row i of ``out``.  ``words`` is :func:`_stage_words` of
     ``keys``; slots that the block path cannot reproduce, and every slot
     when ``words`` is None, are drawn from a Generator through ``cursor``.
-    A proposal outside the prior box is still simulated, since the budget
-    counts it, but gets distance ``inf`` so that no tolerance accepts it.
+    A proposal outside the prior box gets distance ``inf``, so that no
+    finite tolerance accepts it.  It is still simulated, since the
+    calibrated budget counts it, unless ``defer`` is set: then it is
+    neither simulated nor counted and its summary is NaN.
     ``out`` must not share memory with ``sources``."""
     slots = range(lo, hi)
+    thetas, zs, dists = out.thetas, out.zs, out.dists
     if words is not None:
         rng = SlotStreams(words[lo:hi])
         normals = rng.standard_normal(model.param_dim)
         # a stacked product rounds like the per-slot factor @ normals
         theta_star = sources[lo:hi] + np.matmul(factor, normals[:, :, None])[:, :, 0]
-        z_star = simulate_batch(model, theta_star, rng, counter, PHASE_ITERATION)
-        d_star = distances(model, z_star)
-        d_star[~model.in_box_rows(theta_star)] = np.inf
-        out.thetas[lo:hi] = theta_star
-        out.zs[lo:hi] = z_star
-        out.dists[lo:hi] = d_star
+        inside = model.in_box_rows(theta_star)
+        thetas[lo:hi] = theta_star
+        if defer:
+            zs[lo:hi][~inside] = np.nan
+            dists[lo:hi][~inside] = np.inf
+            if inside.any():
+                sub = rng.rows(inside)
+                z_star = simulate_batch(
+                    model, theta_star[inside], sub, counter, PHASE_ITERATION
+                )
+                zs[lo:hi][inside] = z_star
+                dists[lo:hi][inside] = distances(model, z_star)
+                rng.ok[inside] = sub.ok
+        else:
+            z_star = simulate_batch(model, theta_star, rng, counter, PHASE_ITERATION)
+            d_star = distances(model, z_star)
+            d_star[~inside] = np.inf
+            zs[lo:hi] = z_star
+            dists[lo:hi] = d_star
         slots = lo + np.flatnonzero(~rng.ok)
-    thetas, zs, dists = out.thetas, out.zs, out.dists
     for i in slots:
         g = cursor.seek(keys[i])
         theta_star = _draw_proposal(sources[i], factor, g)
-        z_star = simulate(model, theta_star, g, counter, PHASE_ITERATION)
         thetas[i] = theta_star
-        zs[i] = z_star
-        dists[i] = distance(model, z_star) if model.in_box(theta_star) else np.inf
+        in_box = model.in_box(theta_star)
+        if in_box or not defer:
+            z_star = simulate(model, theta_star, g, counter, PHASE_ITERATION)
+            zs[i] = z_star
+            dists[i] = distance(model, z_star) if in_box else np.inf
+        else:
+            zs[i] = np.nan
+            dists[i] = np.inf
 
 
 def init_stage(

@@ -155,8 +155,8 @@ def validate_config(cfg: RunConfig) -> None:
             raise ConfigError("naive-smc: schedule is required")
         if any(e2 >= e1 for e1, e2 in zip(cfg.schedule, cfg.schedule[1:])):
             raise ConfigError("naive-smc: schedule must be strictly decreasing")
-        if cfg.schedule[-1] < 0:
-            raise ConfigError("naive-smc: tolerances must be non-negative")
+        if cfg.schedule[-1] < 0 or not all(math.isfinite(e) for e in cfg.schedule):
+            raise ConfigError("naive-smc: tolerances must be finite and non-negative")
     elif cfg.sampler == "self-calibrated":
         if cfg.n is None or cfg.n < 2:
             raise ConfigError("self-calibrated: n must be at least 2")

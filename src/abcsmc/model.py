@@ -55,8 +55,8 @@ class ModelSpec:
     ``rng``, taking ``draws_per_slot`` draws per slot (``rng.random`` or
     ``rng.standard_normal``, one word each), and returns (m, summary_dim)
     summaries; it must make the scalar simulator's draws in the same
-    order.  The kernel moves of the self-calibrated sampler use it when
-    it is given.
+    order.  The kernel moves of the self-calibrated sampler and of
+    fixed-schedule SMC use it when it is given.
     """
 
     param_dim: int

@@ -218,6 +218,13 @@ class SlotStreams:
         self._next = 0
         self.ok = np.ones(len(words), dtype=bool)
 
+    def rows(self, mask: np.ndarray) -> "SlotStreams":
+        """The streams of the slots where ``mask`` holds, at the same draw
+        and with the same ``ok`` flags."""
+        sub = SlotStreams(self._words[mask, self._next:])
+        sub.ok = self.ok[mask]
+        return sub
+
     def _take(self, size: int | None) -> np.ndarray:
         k = 1 if size is None else size
         if self._next + k > self._words.shape[1]:

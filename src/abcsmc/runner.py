@@ -42,6 +42,7 @@ from .trace import RunTrace, SimCounter
 SUMMARY_HEADER = "replicate,total_sims,final_eps,ess,gain,iterations,wall_ms"
 GAIN_CURVE_HEADER = "iter,eps,alpha,rho,cumulative_sims,gain,stop_iter"
 TABLE1_HEADER = "sampler,replicates,cost,ess"
+_CSV_CHUNK = 1024  # particle rows formatted per pass
 
 
 @dataclass
@@ -186,16 +187,17 @@ def write_particles_csv(path: str, particles: ParticleArray) -> None:
         + [f"z_{j + 1}" for j in range(d)]
         + ["dist", "weight"]
     )
-    weight = 1.0 / n if n else 0.0
+    # every row ends in the same weight; the rest is the shortest
+    # round-trip repr of each value, as _fmt writes it
+    tail = f",{_fmt(1.0 / n if n else 0.0)}\n"
+    table = np.column_stack((particles.thetas, particles.zs, particles.dists))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for i in range(n):
-            row = (
-                [_fmt(v) for v in particles.thetas[i]]
-                + [_fmt(v) for v in particles.zs[i]]
-                + [_fmt(particles.dists[i]), _fmt(weight)]
-            )
-            fh.write(",".join(row) + "\n")
+        # rows become Python floats a chunk at a time, which bounds the
+        # memory those objects take
+        for lo in range(0, n, _CSV_CHUNK):
+            rows = table[lo:lo + _CSV_CHUNK].tolist()
+            fh.writelines(",".join(map(repr, row)) + tail for row in rows)
 
 
 def write_trace_json(path: str, trace: RunTrace) -> None:

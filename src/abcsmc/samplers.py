@@ -18,7 +18,6 @@ import numpy as np
 from .diagnostics import distinct_and_ess
 from .errors import DegenerateArrayError, ScheduleInfeasibleError
 from .model import (
-    PHASE_ITERATION,
     ModelSpec,
     Particle,
     ParticleArray,
@@ -102,7 +101,6 @@ def mcmc_abc_step(
     model: ModelSpec,
     rng: np.random.Generator,
     counter=None,
-    phase: str = PHASE_MCMC,
 ) -> StepResult:
     """One kernel step from ``current`` (which must satisfy the tolerance)."""
     if current.dist > cfg.epsilon:
@@ -111,7 +109,7 @@ def mcmc_abc_step(
     if not model.in_box(theta_star):
         return StepResult(current, False, ProposalOutcome(theta_star, None, None))
 
-    z_star = simulate(model, theta_star, rng, counter, phase)
+    z_star = simulate(model, theta_star, rng, counter, PHASE_MCMC)
     d_star = distance(model, z_star)
     proposal = ProposalOutcome(theta_star, z_star, d_star)
     if d_star <= cfg.epsilon:
@@ -233,16 +231,27 @@ def naive_smc(
     step at the new tolerance.
 
     The proposal covariance for iteration t comes from the array as it
-    stood before the iteration.  At most n simulations per iteration
-    (box rejections simulate nothing), booked under ``PHASE_ITERATION``.
+    stood before the iteration.  Each step's moves are one block, the
+    self-calibrated sampler's kernel-move primitive: slot j proposes from
+    its resampled particle on stream ``key.child(1, t, 1, j)``, and the
+    proposal replaces the particle when it is in the box and within the
+    tolerance.  Out-of-box proposals are deferred, neither simulated nor
+    counted, so a step costs at most n simulations, booked as
+    ``iteration`` simulations.  With a batch simulator the block draws every
+    slot from its Philox words at once; otherwise, and for the slots
+    whose normals need a second ziggurat word, slot by slot from its
+    Generator, with the same results either way.
     """
+    # a function-level import: adaptive imports this module
+    from .adaptive import _propose, _stage_words
+
     sched = [float(e) for e in schedule]
     if len(sched) == 0:
         raise ValueError("schedule must not be empty")
     if any(e2 >= e1 for e1, e2 in zip(sched, sched[1:])):
         raise ValueError("schedule must be strictly decreasing")
-    if sched[-1] < 0:
-        raise ValueError("tolerances must be non-negative")
+    if sched[-1] < 0 or not all(math.isfinite(e) for e in sched):
+        raise ValueError("tolerances must be finite and non-negative")
     if n < 2:
         raise ValueError("need at least two particles")
 
@@ -252,7 +261,7 @@ def naive_smc(
     cursor = StreamCursor()
 
     for t, eps_next in enumerate(sched, start=1):
-        sigma = proposal_scale(arr.thetas)
+        factor = proposal_factor(proposal_scale(arr.thetas))
         srt = arr.sorted_by_dist()
         m = int(np.searchsorted(srt.dists, eps_next, side="right"))
         if m == 0:
@@ -263,30 +272,28 @@ def naive_smc(
         plan = residual_resample(
             np.full(m, 1.0 / m), n, key.child(1, t, _SUB_RESAMPLE).generator()
         )
-        resampled = srt.take(plan.assignment)
+        arr = srt.take(plan.assignment)
 
-        cfg = McmcKernelConfig(sigma=sigma, epsilon=eps_next)
         move_keys = key.child(1, t, _SUB_MOVE).slot_keys(n)
-        thetas = np.empty_like(resampled.thetas)
-        zs = np.empty_like(resampled.zs)
-        dists = np.empty_like(resampled.dists)
+        moves = ParticleArray(
+            np.empty_like(arr.thetas), np.empty_like(arr.zs), np.empty(n)
+        )
         sims_before = counter.total
-        moved_count = 0
-        for j in range(n):
-            res = mcmc_abc_step(
-                resampled.particle(j), cfg, model, cursor.seek(move_keys[j]),
-                counter, PHASE_ITERATION,
-            )
-            thetas[j], zs[j], dists[j] = res.state.theta, res.state.z, res.state.dist
-            moved_count += res.moved
-        arr = ParticleArray(thetas, zs, dists)
+        _propose(
+            model, arr.thetas, factor, move_keys, _stage_words(model, move_keys),
+            0, n, moves, counter, cursor, defer=True,
+        )
+        accept = moves.dists <= eps_next
+        arr.thetas[accept] = moves.thetas[accept]
+        arr.zs[accept] = moves.zs[accept]
+        arr.dists[accept] = moves.dists[accept]
         distinct, ess = distinct_and_ess(arr.thetas)
         trace.iterations.append(
             IterationRecord(
                 t=t,
                 epsilon=eps_next,
                 alpha=alpha_t,
-                rho_hat=moved_count / n,
+                rho_hat=int(np.count_nonzero(accept)) / n,
                 sims_used=counter.total - sims_before,
                 distinct_count=distinct,
                 ess=ess,

@@ -2,12 +2,11 @@
 walk, single iterations, and the assembled pipeline with its exact
 simulation budget, on the toy model and on a two-parameter model.  Both
 models have a batch simulator, so their kernel moves take the block
-path; the same model without it (``_scalar_only``) draws slot by slot,
+path; the same model without it (``scalar_only``) draws slot by slot,
 and the two give identical results."""
 
 from __future__ import annotations
 
-import dataclasses
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -36,14 +35,9 @@ from abcsmc import (
 )
 from abcsmc.rng import SlotStreams, philox_words
 from abcsmc.samplers import _draw_proposal
-from conftest import assert_ks_pass
+from conftest import TOY_2D, assert_ks_pass, scalar_only
 
 GRID = 100
-
-
-def _scalar_only(model):
-    """The same model without its batch simulator."""
-    return dataclasses.replace(model, simulator_batch=None)
 
 
 @pytest.fixture(scope="module")
@@ -80,7 +74,7 @@ def one_step(toy, init_500):
 
 @pytest.fixture(scope="module")
 def one_step_scalar(toy, init_500):
-    return _one_step(_scalar_only(toy), init_500)
+    return _one_step(scalar_only(toy), init_500)
 
 
 @pytest.fixture(scope="module")
@@ -315,7 +309,7 @@ class TestOutOfBoxProposals:
 
     def test_calibration_simulates_and_counts_them(self, narrow):
         model, arr, sigma = narrow
-        self._replay_calibration(_scalar_only(model), arr, sigma)
+        self._replay_calibration(scalar_only(model), arr, sigma)
 
     def test_block_calibration_simulates_and_counts_them(self, narrow):
         # the block path replays the same Generator draws
@@ -397,7 +391,7 @@ class TestSmcIteration:
         assert 0 < moved < 500 - m
 
     def test_tail_replays_fresh_moves(self, toy, one_step_scalar):
-        self._replay_tail(_scalar_only(toy), one_step_scalar)
+        self._replay_tail(scalar_only(toy), one_step_scalar)
 
     def test_tail_replays_fresh_moves_on_block_path(self, toy, one_step):
         # the block path replays the same Generator draws
@@ -528,25 +522,6 @@ class TestRunSelfCalibrated:
             run_self_calibrated(toy, 300, 0.09, RngKey(0), max_iters=-1)
 
 
-def _two_coordinate_toy(theta, rng):
-    # theta is one (2,) vector with a Generator, or (m, 2) rows with
-    # SlotStreams; the draws are the same either way
-    sd = np.where(rng.random(2) < 0.5, 1.0, 0.1)
-    return theta + sd * rng.standard_normal(2)
-
-
-TOY_2D = ModelSpec(
-    param_dim=2,
-    prior_box=[(-2.0, 2.0), (-2.0, 2.0)],
-    summary_dim=2,
-    observed=[0.0, 0.0],
-    simulator=_two_coordinate_toy,
-    name="toy-2d",
-    simulator_batch=_two_coordinate_toy,
-    draws_per_slot=4,
-)
-
-
 class TestTwoParameters:
     """The p > 1 branches end to end: the toy noise on each of two
     coordinates, Euclidean distance to (0, 0).  Kernel moves take the
@@ -603,7 +578,7 @@ class TestTwoParameters:
 class TestTwoParametersScalar(TestTwoParameters):
     """The same tests with kernel moves drawn slot by slot from Generators."""
 
-    MODEL = _scalar_only(TOY_2D)
+    MODEL = scalar_only(TOY_2D)
 
     def test_block_path_equals_per_slot_path(self, serial):
         for r, (final, trace, counter) in zip((1, 2), serial):

@@ -160,6 +160,8 @@ class TestValidation:
             _cfg(sampler="naive-smc", n=10, schedule=[1.0, 1.0])
         with pytest.raises(ConfigError, match="non-negative"):
             _cfg(sampler="naive-smc", n=10, schedule=[1.0, -0.5])
+        with pytest.raises(ConfigError, match="finite"):
+            _cfg(sampler="naive-smc", n=10, schedule=[float("inf"), 1.0])
 
     def test_self_calibrated_rules(self):
         _cfg(sampler="self-calibrated", n=100, epsilon_target=0.09)

@@ -11,6 +11,7 @@ import pytest
 
 from abcsmc import (
     ConfigError,
+    ParticleArray,
     RunConfig,
     RunTrace,
     ScheduleInfeasibleError,
@@ -21,6 +22,7 @@ from abcsmc import (
     toy_accept_prob,
     validate_config,
 )
+from abcsmc import runner
 
 
 def _sc_cfg(**kw):
@@ -264,3 +266,38 @@ def test_run_replicate_keyed_by_replicate():
     assert not np.array_equal(a.particles.thetas, b.particles.thetas)
     again = run_replicate(cfg, 1)
     assert np.array_equal(a.particles.thetas, again.particles.thetas)
+
+
+def _rowwise_particles_csv(path, particles):
+    """The particle file written one ``_fmt`` call per value, row by row."""
+    n = len(particles)
+    p, d = particles.thetas.shape[1], particles.zs.shape[1]
+    header = (
+        [f"theta_{j + 1}" for j in range(p)]
+        + [f"z_{j + 1}" for j in range(d)]
+        + ["dist", "weight"]
+    )
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for i in range(n):
+            row = (
+                [runner._fmt(v) for v in particles.thetas[i]]
+                + [runner._fmt(v) for v in particles.zs[i]]
+                + [runner._fmt(particles.dists[i]), runner._fmt(1.0 / n)]
+            )
+            fh.write(",".join(row) + "\n")
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_particles_csv_matches_rowwise_writer(tmp_path, monkeypatch, p):
+    # four rows per pass, so the six rows span two passes
+    monkeypatch.setattr(runner, "_CSV_CHUNK", 4)
+    values = np.array([-0.0, 5e-324, 1e300, 1.0 / 3.0, -2.5, 0.1])
+    thetas = np.resize(values, (6, p))
+    zs = np.resize(values[::-1], (6, p))
+    particles = ParticleArray(thetas, zs, np.roll(values, 2))
+    runner.write_particles_csv(str(tmp_path / "block.csv"), particles)
+    _rowwise_particles_csv(str(tmp_path / "rows.csv"), particles)
+    text = _read(str(tmp_path / "block.csv"))
+    assert text == _read(str(tmp_path / "rows.csv"))
+    assert "-0.0," in text and "5e-324" in text and "1e+300" in text

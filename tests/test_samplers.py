@@ -12,6 +12,7 @@ from abcsmc import (
     McmcKernelConfig,
     ModelSpec,
     Particle,
+    ParticleArray,
     RngKey,
     ScheduleInfeasibleError,
     SimCounter,
@@ -24,9 +25,11 @@ from abcsmc import (
     prior_predictive,
     proposal_factor,
     proposal_scale,
+    residual_resample,
+    toy_model,
     toy_posterior_cdf,
 )
-from conftest import assert_ks_pass
+from conftest import TOY_2D, assert_ks_pass, scalar_only
 
 
 class TestProposalScale:
@@ -249,3 +252,112 @@ class TestNaiveSmc:
         _, trace = naive_smc(toy, 500, [3.0, 1.0], RngKey(36))
         assert [r.epsilon for r in trace.iterations] == [3.0, 1.0]
         assert trace.final_epsilon == 1.0
+
+    @pytest.mark.parametrize("bad", [[np.inf, 1.0], [1.0, np.nan]])
+    def test_tolerances_must_be_finite(self, toy, bad):
+        # a deferred proposal has distance inf, which no tolerance may accept
+        with pytest.raises(ValueError, match="finite"):
+            naive_smc(toy, 100, bad, RngKey(0))
+
+
+class _BumpLog(SimCounter):
+    """A counter that also logs every bump as (phase, n)."""
+
+    def __init__(self):
+        super().__init__()
+        self.log = []
+
+    def bump(self, phase, n=1):
+        self.log.append((phase, n))
+        super().bump(phase, n)
+
+
+def _naive_smc_by_kernel_steps(model, n, schedule, key):
+    """naive_smc with every move one ``mcmc_abc_step`` on the slot's own
+    Generator; also returns each step's count of in-box proposals."""
+    arr = prior_predictive(model, n, key.child(0))
+    in_box = []
+    for t, eps in enumerate(schedule, start=1):
+        cfg = McmcKernelConfig(sigma=proposal_scale(arr.thetas), epsilon=eps)
+        srt = arr.sorted_by_dist()
+        m = int(np.searchsorted(srt.dists, eps, side="right"))
+        plan = residual_resample(
+            np.full(m, 1.0 / m), n, key.child(1, t, 0).generator()
+        )
+        steps = [
+            mcmc_abc_step(
+                srt.particle(plan.assignment[j]), cfg, model,
+                key.child(1, t, 1, j).generator(),
+            )
+            for j in range(n)
+        ]
+        in_box.append(sum(model.in_box(st.proposal.theta) for st in steps))
+        arr = ParticleArray(
+            np.array([st.state.theta for st in steps]),
+            np.array([st.state.z for st in steps]),
+            np.array([st.state.dist for st in steps]),
+        )
+    return arr.sorted_by_dist(), in_box
+
+
+class TestNaiveSmcBlockPath:
+    """Each schedule step moves all particles with one call to the block
+    kernel move; a model without a batch simulator, and the slots whose
+    normals need a second ziggurat word, go slot by slot instead."""
+
+    @pytest.mark.parametrize(
+        "model, schedule",
+        [(toy_model(10.0), [2.0, 0.5, 0.2]), (TOY_2D, [1.5, 0.8, 0.5])],
+        ids=["toy", "toy-2d"],
+    )
+    def test_block_path_equals_per_slot_path(self, model, schedule):
+        n = 3000
+        block_counter, slot_counter = _BumpLog(), SimCounter()
+        arr, trace = naive_smc(model, n, schedule, RngKey(37), block_counter)
+        arr_s, trace_s = naive_smc(
+            scalar_only(model), n, schedule, RngKey(37), slot_counter
+        )
+        assert np.array_equal(arr.thetas, arr_s.thetas)
+        assert np.array_equal(arr.zs, arr_s.zs)
+        assert np.array_equal(arr.dists, arr_s.dists)
+        assert trace.iterations == trace_s.iterations
+        assert block_counter.snapshot() == slot_counter.snapshot()
+        # one block bump per step; single bumps are the fallback slots
+        moves = [k for phase, k in block_counter.log if phase == "iteration"]
+        singles = moves.count(1)
+        assert len(moves) - singles == len(schedule)
+        assert 0 < singles < 0.05 * n * len(schedule)
+
+    @pytest.mark.parametrize("batch", [True, False], ids=["block", "per-slot"])
+    def test_deferred_proposals_are_not_simulated(self, batch):
+        # on a narrow box a step's proposals often leave it
+        model = toy_model(0.1)
+        model = model if batch else scalar_only(model)
+        schedule = [1.0, 0.3, 0.15]
+        counter = SimCounter()
+        arr, trace = naive_smc(model, 500, schedule, RngKey(38), counter)
+        ref, in_box = _naive_smc_by_kernel_steps(model, 500, schedule, RngKey(38))
+        assert [r.sims_used for r in trace.iterations] == in_box
+        assert all(k < 450 for k in in_box)
+        assert counter.count("iteration") == sum(in_box)
+        assert np.array_equal(arr.thetas, ref.thetas)
+        assert np.array_equal(arr.zs, ref.zs)
+        assert np.array_equal(arr.dists, ref.dists)
+        assert np.all(np.abs(arr.thetas) <= 0.1)
+
+    def test_bad_batch_block_aborts_before_counting(self):
+        model = ModelSpec(
+            param_dim=1,
+            prior_box=[(-10.0, 10.0)],
+            summary_dim=1,
+            observed=[0.0],
+            simulator=lambda t, r: t,
+            simulator_batch=lambda t, rng: np.where(t > 0, np.nan, t),
+        )
+        counter = SimCounter()
+        with pytest.raises(SimulationError, match="non-finite"):
+            naive_smc(model, 400, [5.0], RngKey(39), counter)
+        # the prior-predictive draws are booked, the failed step is not
+        assert counter.snapshot() == {
+            "total": 400, "per_phase": {"prior-predictive": 400}
+        }

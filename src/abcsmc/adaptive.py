@@ -17,16 +17,18 @@ ones after resampling.  The run stops once the estimated move
 probability drops to ``rho_stop``, and a final rejection step trims the
 output to the target tolerance when possible.
 
-Kernel proposals of one stage (a calibration, an iteration's fresh
-moves, or the moves of one fixed-schedule SMC step) come from per-slot
-streams: slot i draws its proposal's p normals and then its simulation
-from a Generator on stream ``key.child(i)``.  For a model with a batch
-simulator, the first ``p + draws_per_slot`` Philox words of every slot
-of the stage are computed at once, and each run of slots is one block
-call on :class:`SlotStreams` over them, which reproduces those
-Generator draws; the few slots whose normals need more than one word
-are drawn again from their Generators.  Either way the results are
-bit-identical.
+Every stage draws from per-slot streams: slot i draws from a Generator
+on stream ``key.child(i)``.  In a kernel-move stage (a calibration, an
+iteration's fresh moves, or the moves of one fixed-schedule SMC step)
+it draws its proposal's p normals and then its simulation; in a
+prior-predictive stage (an initialization batch, or fixed-schedule
+SMC's first array) its p prior uniforms and then its simulation.  For a
+model with a batch simulator, the first ``p + draws_per_slot`` Philox
+words of every slot of the stage are computed at once, and each run of
+slots is one block call on :class:`SlotStreams` over them, which
+reproduces those Generator draws; the few slots whose normals need more
+than one word are drawn again from their Generators.  Either way the
+results are bit-identical.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from .model import (
     PHASE_ITERATION,
     ModelSpec,
     ParticleArray,
+    _prior_slots,
     distance,
     distances,
     prior_predictive,
@@ -112,6 +115,27 @@ def _stage_words(model: ModelSpec, keys: np.ndarray) -> np.ndarray | None:
     return philox_words(keys, model.param_dim + model.draws_per_slot)
 
 
+def _prior_stage(model, n, key, counter, phase) -> ParticleArray:
+    """:func:`prior_predictive` of ``n`` slots on ``key``, bit for bit.
+
+    For a model with a batch simulator every slot is drawn at once from
+    :func:`_stage_words` of its stream (the p prior uniforms, then the
+    simulator's draws) and simulated in one :func:`simulate_batch` call;
+    the slots the block path cannot reproduce are drawn again from their
+    Generators.  A model without one goes to :func:`prior_predictive`.
+    """
+    if model.simulator_batch is None:
+        return prior_predictive(model, n, key, counter, phase)
+    keys = key.slot_keys(n)
+    rng = SlotStreams(_stage_words(model, keys))
+    # prior_sample's rng.uniform(lo, hi) is lo + (hi - lo) * random()
+    thetas = model._lo + (model._hi - model._lo) * rng.random(model.param_dim)
+    zs = simulate_batch(model, thetas, rng, counter, phase)
+    out = ParticleArray(thetas, zs, distances(model, zs))
+    _prior_slots(model, keys, np.flatnonzero(~rng.ok), out, counter, phase)
+    return out
+
+
 def _propose(
     model, sources, factor, keys, words, lo, hi, out, counter, cursor, defer=False
 ) -> None:
@@ -176,7 +200,8 @@ def init_stage(
 ) -> InitResult:
     """Prior-predictive warm start that decides whether to run at all.
 
-    Batch K is drawn from streams ``key.child(K)``.  After each batch the
+    Batch K is drawn from streams ``key.child(K)``, as one block with a
+    batch simulator (see :func:`_prior_stage`).  After each batch the
     best ``n`` particles of all batches so far are kept, sorted by
     distance; ``v_K`` is the variance determinant of their parameter
     vectors, and the realized tolerance is their worst distance.  The
@@ -193,7 +218,7 @@ def init_stage(
     if max_batches < 2:
         raise ValueError("batch cap must allow at least two batches")
 
-    best = prior_predictive(model, n, key.child(1), counter, PHASE_INIT).sorted_by_dist()
+    best = _prior_stage(model, n, key.child(1), counter, PHASE_INIT).sorted_by_dist()
     if best.dists[0] == best.dists[-1] >= epsilon_target:
         raise DegenerateArrayError(
             "every distance in the first prior-predictive batch is equal"
@@ -224,7 +249,7 @@ def init_stage(
                 f"initialization did not converge within {max_batches} batches",
                 partial=partial,
             )
-        batch = prior_predictive(model, n, key.child(k), counter, PHASE_INIT)
+        batch = _prior_stage(model, n, key.child(k), counter, PHASE_INIT)
         # the sort is stable, so the best n of (best n so far + batch) are
         # exactly the best n of the whole pool, in the same order
         best = best.concat(batch).sorted_by_dist().take(keep)

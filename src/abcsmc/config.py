@@ -119,8 +119,8 @@ def validate_config(cfg: RunConfig) -> None:
         )
     if cfg.model != "toy":
         raise ConfigError(f"unknown model {cfg.model!r} (available: toy)")
-    if not cfg.prior_halfwidth > 0:
-        raise ConfigError("prior_halfwidth must be positive")
+    if not (cfg.prior_halfwidth > 0 and math.isfinite(cfg.prior_halfwidth)):
+        raise ConfigError("prior_halfwidth must be positive and finite")
     if cfg.replicates < 0:
         raise ConfigError("replicates must be non-negative")
     if cfg.workers < 1:

@@ -55,8 +55,9 @@ class ModelSpec:
     ``rng``, taking ``draws_per_slot`` draws per slot (``rng.random`` or
     ``rng.standard_normal``, one word each), and returns (m, summary_dim)
     summaries; it must make the scalar simulator's draws in the same
-    order.  The kernel moves of the self-calibrated sampler and of
-    fixed-schedule SMC use it when it is given.
+    order.  The self-calibrated sampler (initialization batches and kernel
+    moves) and fixed-schedule SMC (first array and moves) use it when it
+    is given; plain rejection does not.
     """
 
     param_dim: int
@@ -229,17 +230,23 @@ def prior_predictive(
 ) -> ParticleArray:
     """Simulate n particles from the prior-predictive: slot i draws its
     parameter and its summary from stream ``key.child(i)``."""
-    thetas = np.empty((n, model.param_dim))
-    zs = np.empty((n, model.summary_dim))
-    dists = np.empty(n)
+    out = ParticleArray(
+        np.empty((n, model.param_dim)), np.empty((n, model.summary_dim)), np.empty(n)
+    )
+    _prior_slots(model, key.slot_keys(n), range(n), out, counter, phase)
+    return out
+
+
+def _prior_slots(model: ModelSpec, keys, slots, out, counter, phase) -> None:
+    """The prior-predictive draw of each slot i in ``slots``, from a
+    Generator on stream ``keys[i]``, written to row i of ``out``."""
+    thetas, zs, dists = out.thetas, out.zs, out.dists
     cursor = StreamCursor()
-    keys = key.slot_keys(n)
-    for i in range(n):
+    for i in slots:
         g = cursor.seek(keys[i])
         thetas[i] = prior_sample(model, g)
         zs[i] = simulate(model, thetas[i], g, counter, phase)
         dists[i] = distance(model, zs[i])
-    return ParticleArray(thetas, zs, dists)
 
 
 def toy_model(prior_halfwidth: float = 10.0) -> ModelSpec:

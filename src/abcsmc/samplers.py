@@ -18,6 +18,7 @@ import numpy as np
 from .diagnostics import distinct_and_ess
 from .errors import DegenerateArrayError, ScheduleInfeasibleError
 from .model import (
+    PHASE_PRIOR,
     ModelSpec,
     Particle,
     ParticleArray,
@@ -230,20 +231,23 @@ def naive_smc(
     residual-resample it back to n, move every particle with one kernel
     step at the new tolerance.
 
-    The proposal covariance for iteration t comes from the array as it
-    stood before the iteration.  Each step's moves are one block, the
-    self-calibrated sampler's kernel-move primitive: slot j proposes from
-    its resampled particle on stream ``key.child(1, t, 1, j)``, and the
-    proposal replaces the particle when it is in the box and within the
-    tolerance.  Out-of-box proposals are deferred, neither simulated nor
+    The first array is n prior-predictive draws on streams
+    ``key.child(0, j)``, drawn like an initialization batch of the
+    self-calibrated sampler.  The proposal covariance for iteration t
+    comes from the array as it stood before the iteration.  Each step's
+    moves are one block, the self-calibrated sampler's kernel-move
+    primitive: slot j proposes from its resampled particle on stream
+    ``key.child(1, t, 1, j)``, and the proposal replaces the particle
+    when it is in the box and within the tolerance.  Out-of-box proposals are deferred, neither simulated nor
     counted, so a step costs at most n simulations, booked as
-    ``iteration`` simulations.  With a batch simulator the block draws every
-    slot from its Philox words at once; otherwise, and for the slots
-    whose normals need a second ziggurat word, slot by slot from its
-    Generator, with the same results either way.
+    ``iteration`` simulations.  With a batch simulator the first array
+    and each step's block draw every slot from its Philox words at once;
+    otherwise, and for the slots whose normals need a second ziggurat
+    word, slot by slot from its Generator, with the same results either
+    way.
     """
     # a function-level import: adaptive imports this module
-    from .adaptive import _propose, _stage_words
+    from .adaptive import _prior_stage, _propose, _stage_words
 
     sched = [float(e) for e in schedule]
     if len(sched) == 0:
@@ -257,7 +261,7 @@ def naive_smc(
 
     counter = counter if counter is not None else SimCounter()
     trace = RunTrace()
-    arr = prior_predictive(model, n, key.child(0), counter)
+    arr = _prior_stage(model, n, key.child(0), counter, PHASE_PRIOR)
     cursor = StreamCursor()
 
     for t, eps_next in enumerate(sched, start=1):

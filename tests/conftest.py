@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from abcsmc import ModelSpec, toy_model
+from abcsmc import ModelSpec, SimCounter, toy_model
 
 KS_LEVEL = 0.001
 
@@ -31,6 +31,18 @@ def toy():
 def scalar_only(model):
     """The same model without its batch simulator."""
     return dataclasses.replace(model, simulator_batch=None)
+
+
+class BumpLog(SimCounter):
+    """A counter that also logs every bump as (phase, n)."""
+
+    def __init__(self):
+        super().__init__()
+        self.log = []
+
+    def bump(self, phase, n=1):
+        self.log.append((phase, n))
+        super().bump(phase, n)
 
 
 def _two_coordinate_toy(theta, rng):

@@ -35,7 +35,7 @@ from abcsmc import (
 )
 from abcsmc.rng import SlotStreams, philox_words
 from abcsmc.samplers import _draw_proposal
-from conftest import TOY_2D, assert_ks_pass, scalar_only
+from conftest import TOY_2D, BumpLog, assert_ks_pass, scalar_only
 
 GRID = 100
 
@@ -213,6 +213,41 @@ class TestInitStage:
         assert len(np.unique(res.array.dists)) < 200
         assert res.batches_used >= 2
         assert len(res.array) == 200
+
+    @pytest.mark.parametrize("model", [toy_model(10.0), TOY_2D], ids=["toy", "toy-2d"])
+    def test_block_path_equals_per_slot_path(self, model):
+        n = 1000
+        block_counter, slot_counter = BumpLog(), SimCounter()
+        res = init_stage(model, n, 0.09, RngKey(59), counter=block_counter)
+        res_s = init_stage(
+            scalar_only(model), n, 0.09, RngKey(59), counter=slot_counter
+        )
+        assert np.array_equal(res.array.thetas, res_s.array.thetas)
+        assert np.array_equal(res.array.zs, res_s.array.zs)
+        assert np.array_equal(res.array.dists, res_s.array.dists)
+        for f in ("epsilon0", "batches_used", "v_prior", "v_final", "terminal"):
+            assert getattr(res, f) == getattr(res_s, f)
+        assert block_counter.snapshot() == slot_counter.snapshot()
+        # one block bump per batch; single bumps are the fallback slots
+        batches = [k for phase, k in block_counter.log if phase == "init"]
+        singles = batches.count(1)
+        assert len(batches) - singles == res.batches_used
+        assert 0 < singles < 0.05 * n * res.batches_used
+
+    def test_bad_prior_block_aborts_before_counting(self):
+        # a NaN in the first batch raises before any draw is booked
+        model = ModelSpec(
+            param_dim=1,
+            prior_box=[(-10.0, 10.0)],
+            summary_dim=1,
+            observed=[0.0],
+            simulator=lambda t, r: np.where(t > 0, np.nan, t),
+            simulator_batch=lambda t, rng: np.where(t > 0, np.nan, t),
+        )
+        counter = SimCounter()
+        with pytest.raises(SimulationError, match="non-finite"):
+            init_stage(model, 100, 0.09, RngKey(54), counter=counter)
+        assert counter.total == 0
 
     def test_validation(self, toy):
         with pytest.raises(ValueError):

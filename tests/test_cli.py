@@ -48,6 +48,16 @@ def test_config_error_exit(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_infinite_halfwidth_is_config_error(tmp_path, capsys):
+    # an infinite prior box would fail every replicate after parsing
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text(CONFIG + "prior_halfwidth = inf\n")
+    out = tmp_path / "artifacts"
+    assert main(["run", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert "halfwidth" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_file_is_config_error(tmp_path):
     assert main(["run", str(tmp_path / "absent.cfg")]) == EXIT_CONFIG
 

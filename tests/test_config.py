@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import fields
 
 import pytest
@@ -179,6 +180,8 @@ class TestValidation:
     def test_common_rules(self):
         with pytest.raises(ConfigError, match="halfwidth"):
             _cfg(sampler="reject", n_prior=10, quantile=0.5, prior_halfwidth=0.0)
+        with pytest.raises(ConfigError, match="halfwidth"):
+            _cfg(sampler="reject", n_prior=10, quantile=0.5, prior_halfwidth=math.inf)
         with pytest.raises(ConfigError, match="replicates"):
             _cfg(sampler="reject", n_prior=10, quantile=0.5, replicates=-1)
         with pytest.raises(ConfigError, match="workers"):

@@ -22,6 +22,7 @@ from abcsmc import (
     simulate,
     toy_model,
 )
+from abcsmc.adaptive import _prior_stage
 from abcsmc.model import simulate_batch
 from abcsmc.rng import SlotStreams, philox_words
 from conftest import assert_ks_pass
@@ -339,11 +340,14 @@ class TestSimulateBatchContract:
 
 
 class TestPriorPredictive:
-    def test_slot_i_draws_from_child_stream_i(self, toy):
+    @pytest.mark.parametrize(
+        "draw", [prior_predictive, _prior_stage], ids=["per-slot", "block"]
+    )
+    def test_slot_i_draws_from_child_stream_i(self, toy, draw):
         # the slot layout every prior-predictive caller relies on
         key = RngKey(11)
         counter = SimCounter()
-        arr = prior_predictive(toy, 64, key, counter)
+        arr = draw(toy, 64, key, counter, "prior-predictive")
         assert counter.count("prior-predictive") == 64
         for i in range(64):
             g = key.child(i).generator()

@@ -29,7 +29,7 @@ from abcsmc import (
     toy_model,
     toy_posterior_cdf,
 )
-from conftest import TOY_2D, assert_ks_pass, scalar_only
+from conftest import TOY_2D, BumpLog, assert_ks_pass, scalar_only
 
 
 class TestProposalScale:
@@ -260,18 +260,6 @@ class TestNaiveSmc:
             naive_smc(toy, 100, bad, RngKey(0))
 
 
-class _BumpLog(SimCounter):
-    """A counter that also logs every bump as (phase, n)."""
-
-    def __init__(self):
-        super().__init__()
-        self.log = []
-
-    def bump(self, phase, n=1):
-        self.log.append((phase, n))
-        super().bump(phase, n)
-
-
 def _naive_smc_by_kernel_steps(model, n, schedule, key):
     """naive_smc with every move one ``mcmc_abc_step`` on the slot's own
     Generator; also returns each step's count of in-box proposals."""
@@ -312,7 +300,7 @@ class TestNaiveSmcBlockPath:
     )
     def test_block_path_equals_per_slot_path(self, model, schedule):
         n = 3000
-        block_counter, slot_counter = _BumpLog(), SimCounter()
+        block_counter, slot_counter = BumpLog(), SimCounter()
         arr, trace = naive_smc(model, n, schedule, RngKey(37), block_counter)
         arr_s, trace_s = naive_smc(
             scalar_only(model), n, schedule, RngKey(37), slot_counter
@@ -346,13 +334,21 @@ class TestNaiveSmcBlockPath:
         assert np.all(np.abs(arr.thetas) <= 0.1)
 
     def test_bad_batch_block_aborts_before_counting(self):
+        # the batch simulator agrees with the scalar one on its first call,
+        # the prior block, and turns bad from its second, the step's moves
+        calls = []
+
+        def batch(t, rng):
+            calls.append(len(t))
+            return t if len(calls) == 1 else np.where(t > 0, np.nan, t)
+
         model = ModelSpec(
             param_dim=1,
             prior_box=[(-10.0, 10.0)],
             summary_dim=1,
             observed=[0.0],
             simulator=lambda t, r: t,
-            simulator_batch=lambda t, rng: np.where(t > 0, np.nan, t),
+            simulator_batch=batch,
         )
         counter = SimCounter()
         with pytest.raises(SimulationError, match="non-finite"):
@@ -361,3 +357,18 @@ class TestNaiveSmcBlockPath:
         assert counter.snapshot() == {
             "total": 400, "per_phase": {"prior-predictive": 400}
         }
+
+    def test_bad_prior_block_aborts_before_counting(self):
+        # a NaN in the first array raises before any draw is booked
+        model = ModelSpec(
+            param_dim=1,
+            prior_box=[(-10.0, 10.0)],
+            summary_dim=1,
+            observed=[0.0],
+            simulator=lambda t, r: np.where(t > 0, np.nan, t),
+            simulator_batch=lambda t, rng: np.where(t > 0, np.nan, t),
+        )
+        counter = SimCounter()
+        with pytest.raises(SimulationError, match="non-finite"):
+            naive_smc(model, 400, [5.0], RngKey(39), counter)
+        assert counter.snapshot() == {"total": 0, "per_phase": {}}

@@ -26,9 +26,8 @@ SMC's first array) its p prior uniforms and then its simulation.  For a
 model with a batch simulator, the first ``p + draws_per_slot`` Philox
 words of every slot of the stage are computed at once, and each run of
 slots is one block call on :class:`SlotStreams` over them, which
-reproduces those Generator draws; the few slots whose normals need more
-than one word are drawn again from their Generators.  Either way the
-results are bit-identical.
+reproduces those Generator draws bit for bit; a model without one draws
+slot by slot from the Generators.
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ from .model import (
     PHASE_ITERATION,
     ModelSpec,
     ParticleArray,
-    _prior_slots,
     distance,
     distances,
     prior_predictive,
@@ -106,88 +104,81 @@ def _det_var(thetas: np.ndarray) -> float:
     return float(np.linalg.det(np.atleast_2d(np.cov(thetas, rowvar=False, ddof=1))))
 
 
-def _stage_words(model: ModelSpec, keys: np.ndarray) -> np.ndarray | None:
-    """Philox words of every slot of a stage for :func:`_propose`'s block
-    path (the proposal's p normals, then the simulator's draws), or None
-    for a model without a batch simulator."""
+def _stage_streams(model: ModelSpec, keys: np.ndarray) -> SlotStreams | None:
+    """The streams of every slot of a stage for the block path (the
+    proposal's p normals or prior uniforms, then the simulator's draws),
+    or None for a model without a batch simulator."""
     if model.simulator_batch is None:
         return None
-    return philox_words(keys, model.param_dim + model.draws_per_slot)
+    return SlotStreams(philox_words(keys, model.param_dim + model.draws_per_slot), keys)
 
 
 def _prior_stage(model, n, key, counter, phase) -> ParticleArray:
     """:func:`prior_predictive` of ``n`` slots on ``key``, bit for bit.
 
     For a model with a batch simulator every slot is drawn at once from
-    :func:`_stage_words` of its stream (the p prior uniforms, then the
-    simulator's draws) and simulated in one :func:`simulate_batch` call;
-    the slots the block path cannot reproduce are drawn again from their
-    Generators.  A model without one goes to :func:`prior_predictive`.
+    :func:`_stage_streams` of its stream (the p prior uniforms, then the
+    simulator's draws) and simulated in one :func:`simulate_batch` call.
+    A model without one goes to :func:`prior_predictive`.
     """
     if model.simulator_batch is None:
         return prior_predictive(model, n, key, counter, phase)
-    keys = key.slot_keys(n)
-    rng = SlotStreams(_stage_words(model, keys))
+    rng = _stage_streams(model, key.slot_keys(n))
     # prior_sample's rng.uniform(lo, hi) is lo + (hi - lo) * random()
     thetas = model._lo + (model._hi - model._lo) * rng.random(model.param_dim)
     zs = simulate_batch(model, thetas, rng, counter, phase)
-    out = ParticleArray(thetas, zs, distances(model, zs))
-    _prior_slots(model, keys, np.flatnonzero(~rng.ok), out, counter, phase)
-    return out
+    return ParticleArray(thetas, zs, distances(model, zs))
 
 
 def _propose(
-    model, sources, factor, keys, words, lo, hi, out, counter, cursor, defer=False
+    model, sources, factor, keys, streams, lo, hi, out, counter, defer=False
 ) -> None:
     """One kernel proposal and its simulation for each slot i in ``[lo, hi)``:
     slot i steps from ``sources[i]`` on stream ``keys[i]`` and writes its
-    proposal to row i of ``out``.  ``words`` is :func:`_stage_words` of
-    ``keys``; slots that the block path cannot reproduce, and every slot
-    when ``words`` is None, are drawn from a Generator through ``cursor``.
-    A proposal outside the prior box gets distance ``inf``, so that no
-    finite tolerance accepts it.  It is still simulated, since the
-    calibrated budget counts it, unless ``defer`` is set: then it is
-    neither simulated nor counted and its summary is NaN.
-    ``out`` must not share memory with ``sources``."""
-    slots = range(lo, hi)
+    proposal to row i of ``out``.  ``streams`` is :func:`_stage_streams`
+    of ``keys``, and the slots are one block on it; when it is None, each
+    slot draws from a Generator on its stream.  A proposal outside the
+    prior box gets distance ``inf``, so that no finite tolerance accepts
+    it.  It is still simulated, since the calibrated budget counts it,
+    unless ``defer`` is set: then it is neither simulated nor counted and
+    its summary is NaN.  ``out`` must not share memory with ``sources``."""
     thetas, zs, dists = out.thetas, out.zs, out.dists
-    if words is not None:
-        rng = SlotStreams(words[lo:hi])
-        normals = rng.standard_normal(model.param_dim)
-        # a stacked product rounds like the per-slot factor @ normals
-        theta_star = sources[lo:hi] + np.matmul(factor, normals[:, :, None])[:, :, 0]
-        inside = model.in_box_rows(theta_star)
-        thetas[lo:hi] = theta_star
-        if defer:
-            zs[lo:hi][~inside] = np.nan
-            dists[lo:hi][~inside] = np.inf
-            if inside.any():
-                sub = rng.rows(inside)
-                z_star = simulate_batch(
-                    model, theta_star[inside], sub, counter, PHASE_ITERATION
-                )
-                zs[lo:hi][inside] = z_star
-                dists[lo:hi][inside] = distances(model, z_star)
-                rng.ok[inside] = sub.ok
-        else:
-            z_star = simulate_batch(model, theta_star, rng, counter, PHASE_ITERATION)
-            d_star = distances(model, z_star)
-            d_star[~inside] = np.inf
-            zs[lo:hi] = z_star
-            dists[lo:hi] = d_star
-        slots = lo + np.flatnonzero(~rng.ok)
-    for i in slots:
-        g = cursor.seek(keys[i])
-        theta_star = _draw_proposal(sources[i], factor, g)
-        thetas[i] = theta_star
-        in_box = model.in_box(theta_star)
-        if in_box or not defer:
-            z_star = simulate(model, theta_star, g, counter, PHASE_ITERATION)
-            zs[i] = z_star
-            dists[i] = distance(model, z_star) if in_box else np.inf
-        else:
-            zs[i] = np.nan
-            dists[i] = np.inf
+    if streams is None:
+        cursor = StreamCursor()
+        for i in range(lo, hi):
+            g = cursor.seek(keys[i])
+            theta_star = _draw_proposal(sources[i], factor, g)
+            thetas[i] = theta_star
+            in_box = model.in_box(theta_star)
+            if in_box or not defer:
+                z_star = simulate(model, theta_star, g, counter, PHASE_ITERATION)
+                zs[i] = z_star
+                dists[i] = distance(model, z_star) if in_box else np.inf
+            else:
+                zs[i] = np.nan
+                dists[i] = np.inf
+        return
+    rng = streams.rows(slice(lo, hi))
+    normals = rng.standard_normal(model.param_dim)
+    # a stacked product rounds like the per-slot factor @ normals
+    theta_star = sources[lo:hi] + np.matmul(factor, normals[:, :, None])[:, :, 0]
+    inside = model.in_box_rows(theta_star)
+    thetas[lo:hi] = theta_star
+    if defer:
+        zs[lo:hi][~inside] = np.nan
+        dists[lo:hi][~inside] = np.inf
+        if inside.any():
+            z_star = simulate_batch(
+                model, theta_star[inside], rng.rows(inside), counter, PHASE_ITERATION
+            )
+            zs[lo:hi][inside] = z_star
+            dists[lo:hi][inside] = distances(model, z_star)
+    else:
+        z_star = simulate_batch(model, theta_star, rng, counter, PHASE_ITERATION)
+        d_star = distances(model, z_star)
+        d_star[~inside] = np.inf
+        zs[lo:hi] = z_star
+        dists[lo:hi] = d_star
 
 
 def init_stage(
@@ -275,15 +266,26 @@ def calibrate_alpha(
 ) -> CalibrationOutcome:
     """Find the smallest survivor fraction with ``alpha + rho >= 1``.
 
-    Walks ``alpha`` up the 1/ALPHA_GRID lattice.  Each step sets the candidate
-    tolerance to the ``floor(alpha*n)``-th order statistic of the input
-    distances, draws proposals only for the newly covered slots (one
-    Gaussian step from the slot's particle plus one simulation each,
-    stream ``key.child(i)`` for slot i), and recounts *all* cached
-    proposals against the candidate tolerance, since an accept decision
-    is free to revise once the proposal exists.  Consumes exactly
-    ``floor(alpha*n)`` simulations.  Grid points covering zero slots
-    (possible when ``n < ALPHA_GRID``) carry no tolerance and are skipped.
+    Walks ``alpha = a/ALPHA_GRID`` up the lattice.  Point a covers the
+    first ``hi = floor(a*n/ALPHA_GRID)`` slots and sets the candidate
+    tolerance ``eps`` to the ``hi``-th order statistic of the input
+    distances.  Slot i draws one proposal (one Gaussian step from the
+    slot's particle plus one simulation, stream ``key.child(i)``), and
+    point a counts *all* proposals of its slots within ``eps``, since an
+    accept decision is free to revise once the proposal exists.  Consumes
+    exactly ``floor(alpha*n)`` simulations.  Grid points covering zero
+    slots (possible when ``n < ALPHA_GRID``) carry no tolerance and are
+    skipped.
+
+    Points that cannot stop are skipped without being evaluated: with
+    slots ``[0, hi)`` proposed, a later point ``a'`` covering ``hi'``
+    slots accepts at most ``known + (hi' - hi)`` of them, ``known`` being
+    the proposals so far within its tolerance.  When even that bound
+    misses ``a' + rho >= 1``, ``a'`` cannot stop, so the walk goes
+    straight to the first point that could and proposes all of its new
+    slots in one block.  Every slot below the stop is proposed either
+    way, on its own stream, so the result and the simulations spent are
+    those of the point-by-point walk.
     """
     n = len(sorted_array)
     if n < 2:
@@ -296,24 +298,33 @@ def calibrate_alpha(
         np.empty((n, model.param_dim)), np.empty((n, model.summary_dim)), np.empty(n)
     )
     keys = key.slot_keys(n)
-    words = _stage_words(model, keys)
-    cursor = StreamCursor()
+    streams = _stage_streams(model, keys)
 
+    grid = np.arange(1, ALPHA_GRID + 1)
+    his = grid * n // ALPHA_GRID
+    eps_grid = sorted_array.dists[np.maximum(his, 1) - 1]
+    known = np.empty(0)  # distances of the proposals so far, ascending
     a = 0
     hi = 0
     while True:
-        a += 1
-        new_hi = (a * n) // ALPHA_GRID
-        if new_hi == 0:
-            continue
-        eps_prime = float(sorted_array.dists[new_hi - 1])
-        _propose(
-            model, sorted_array.thetas, factor, keys, words, hi, new_hi,
-            props, counter, cursor,
+        # a' + rho >= 1 in exact integer arithmetic, with rho at its bound;
+        # the last point, a' = ALPHA_GRID, always qualifies
+        bound = np.searchsorted(known, eps_grid[a:], side="right") + his[a:] - hi
+        could = (his[a:] > 0) & (
+            grid[a:] * his[a:] + ALPHA_GRID * bound >= ALPHA_GRID * his[a:]
         )
-        hi = new_hi
-        n_move = int(np.count_nonzero(props.dists[:hi] <= eps_prime))
-        # a/ALPHA_GRID + n_move/hi >= 1, tested in exact integer arithmetic
+        a += 1 + int(np.argmax(could))
+        new_hi = int(his[a - 1])
+        eps_prime = float(eps_grid[a - 1])
+        if new_hi > hi:
+            _propose(
+                model, sorted_array.thetas, factor, keys, streams, hi, new_hi,
+                props, counter,
+            )
+            block = np.sort(props.dists[hi:new_hi])
+            known = np.insert(known, np.searchsorted(known, block), block)
+            hi = new_hi
+        n_move = int(np.searchsorted(known, eps_prime, side="right"))
         if a * hi + n_move * ALPHA_GRID >= ALPHA_GRID * hi:
             break
 
@@ -362,10 +373,10 @@ def smc_iteration(
     # slot m + j of the tail moves on stream child(_SUB_FRESH, m + j); its
     # rows are placeholders until the fresh proposals overwrite them
     fresh = new_array.take(np.arange(m, n))
-    keys = key.child(_SUB_FRESH).slot_keys(n)[m:]
+    keys = key.child(_SUB_FRESH).slot_keys(n, start=m)
     _propose(
         model, new_array.thetas[m:], proposal_factor(sigma), keys,
-        _stage_words(model, keys), 0, n - m, fresh, counter, StreamCursor(),
+        _stage_streams(model, keys), 0, n - m, fresh, counter,
     )
     moves = cal.proposals.concat(fresh)
     accept = moves.dists <= eps_t

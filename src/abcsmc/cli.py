@@ -74,8 +74,7 @@ def main(argv: list[str] | None = None) -> int:
                 _apply_overrides(load_config(path, validate=False), args)
                 for path in args.configs
             ]
-            out = args.out if args.out is not None else None
-            print(table1_report(cfgs, out))
+            print(table1_report(cfgs, args.out))
         elif args.command == "gain-curve":
             cfg = _apply_overrides(load_config(args.config, validate=False), args)
             print(gain_curve(cfg))

@@ -52,12 +52,12 @@ class ModelSpec:
     vector and may consume its rng stream freely.  The optional
     ``simulator_batch(thetas, rng)`` simulates every row of an (m, p)
     parameter array at once from the slots' :class:`SlotStreams`
-    ``rng``, taking ``draws_per_slot`` draws per slot (``rng.random`` or
-    ``rng.standard_normal``, one word each), and returns (m, summary_dim)
-    summaries; it must make the scalar simulator's draws in the same
-    order.  The self-calibrated sampler (initialization batches and kernel
-    moves) and fixed-schedule SMC (first array and moves) use it when it
-    is given; plain rejection does not.
+    ``rng``, taking ``draws_per_slot`` draws per slot (each value of
+    ``rng.random`` or ``rng.standard_normal`` is one draw), and returns
+    (m, summary_dim) summaries; it must make the scalar simulator's draws
+    in the same order.  The self-calibrated sampler (initialization
+    batches and kernel moves) and fixed-schedule SMC (first array and
+    moves) use it when it is given; plain rejection does not.
     """
 
     param_dim: int
@@ -171,13 +171,11 @@ def simulate_batch(
 ) -> np.ndarray:
     """Run the batch simulator on every row of ``thetas``, slot i drawing
     from row i of ``rng``; row i equals what :func:`simulate` gives on
-    slot i's Generator wherever ``rng.ok[i]`` holds afterwards.  Only
-    those rows are checked and counted, in one bump; the caller simulates
-    the others again from their Generators.
+    slot i's Generator.
 
-    The block is checked once: an exception, a result that is not an
-    (m, summary_dim) array, or a NaN or infinite value raises
-    :class:`SimulationError` before the counter moves.
+    The block is checked once and counted in one bump: an exception, a
+    result that is not an (m, summary_dim) array, or a NaN or infinite
+    value raises :class:`SimulationError` before the counter moves.
     """
     m = len(thetas)
     try:
@@ -191,7 +189,7 @@ def simulate_batch(
             f"batch simulator for model '{model.name}' returned shape {zs.shape}, "
             f"expected {(m, model.summary_dim)}"
         )
-    finite = np.isfinite(zs).all(axis=1) | ~rng.ok
+    finite = np.isfinite(zs).all(axis=1)
     if not finite.all():
         i = int(np.argmin(finite))
         raise SimulationError(
@@ -200,7 +198,7 @@ def simulate_batch(
             thetas[i],
         )
     if counter is not None:
-        counter.bump(phase, int(np.count_nonzero(rng.ok)))
+        counter.bump(phase, m)
     return zs
 
 

@@ -24,6 +24,7 @@ Generators would make, for all slots at once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,16 +89,17 @@ class RngKey:
         h = self._hash_prefix()
         return np.array([_fold(h, _SALT0), _fold(h, _SALT1)], dtype=np.uint64)
 
-    def slot_keys(self, n: int) -> np.ndarray:
-        """Key words for children ``child(0) .. child(n-1)``, shape (n, 2).
+    def slot_keys(self, n: int, start: int = 0) -> np.ndarray:
+        """Key words for children ``child(start) .. child(n-1)``, shape
+        (n - start, 2).
 
         Vectorised equivalent of ``[self.child(i).key_words() for i in
-        range(n)]`` (bit-identical, ~50ns per slot instead of ~2us).
+        range(start, n)]`` (bit-identical, ~50ns per slot instead of ~2us).
         """
-        if n < 0:
-            raise ValueError("slot count must be non-negative")
+        if not 0 <= start <= n:
+            raise ValueError("slot range must satisfy 0 <= start <= n")
         h = np.uint64(self._hash_prefix())
-        slots = np.arange(n, dtype=np.uint64)
+        slots = np.arange(start, n, dtype=np.uint64)
         with np.errstate(over="ignore"):
             hs = _mix_vec(h ^ _mix_vec(slots))
             k0 = _mix_vec(hs ^ np.uint64(_MIXED_SALT0))
@@ -115,10 +117,15 @@ _SHIFT32 = _U64(32)
 _SHIFT8 = _U64(8)
 _SHIFT9 = _U64(9)
 _SHIFT11 = _U64(11)
+_SHIFT55 = _U64(55)
+_SIGN64 = _U64(1 << 63)
 _LO8 = _U64(0xFF)
 _LO52 = _U64(0x000FFFFFFFFFFFFF)
 _ZIG_KI = np.array(_ziggurat.KI, dtype=np.uint64)
 _ZIG_WI = np.array(_ziggurat.WI, dtype=np.float64)
+_ZIG_FI = np.array(_ziggurat.FI, dtype=np.float64)
+# FI[idx - 1] - FI[idx] of the wedge test, for idx >= 1
+_ZIG_FD = np.append(0.0, _ZIG_FI[:-1] - _ZIG_FI[1:])
 # Philox4x64 round multipliers and Weyl key increments, as (ctr 0, ctr 2)
 # and (key 0, key 1) columns
 _PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
@@ -197,57 +204,231 @@ def philox_words(keys: np.ndarray, k: int) -> np.ndarray:
     return words[:, :k]
 
 
+def _libm(fn, x: np.ndarray) -> np.ndarray:
+    """``fn`` (a ``math`` function, so the C library's) of every element.
+    numpy's C ziggurat calls libm; numpy's own ufunc loops may round
+    differently, and a last-bit difference can flip an accept test."""
+    return np.array([fn(v) for v in x.tolist()], dtype=np.float64)
+
+
+def _doubles(w: np.ndarray) -> np.ndarray:
+    """numpy's ``next_double`` of raw words: ``(w >> 11) * 2**-53``."""
+    return (w >> _SHIFT11).astype(np.float64) * 2.0**-53
+
+
+def _first_word_normals(w: np.ndarray):
+    """The ziggurat's first step on raw words: the strip, the 52-bit
+    magnitude, the signed candidate ``x`` and whether ``x`` is the normal
+    (``rabs < KI[idx]``, the one-word path)."""
+    idx = (w & _LO8).astype(np.intp)
+    rabs = (w >> _SHIFT9) & _LO52
+    x = rabs.astype(np.float64) * _ZIG_WI[idx]
+    # x >= 0, so moving the word's sign bit onto x's negates x like -x
+    x.view(np.uint64)[...] |= (w << _SHIFT55) & _SIGN64
+    return idx, rabs, x, rabs < _ZIG_KI[idx]
+
+
+# words computed beyond a stage's own for each slot whose normals may
+# leave the one-word path; a normal that leaves it reads one to three more
+_MORE_WORDS = 5
+
+
+class _StageWords:
+    """Raw words of the slots of one stage.
+
+    ``first`` holds the first words of every slot, one per draw of the
+    stage.  A slot can fall behind that lockstep only at a word that
+    misses the one-word path, so only slots with such a word among
+    ``first`` get ``far`` words: their streams' first words and
+    ``_MORE_WORDS`` more, from :func:`philox_words` on their keys,
+    recomputed longer if a slot reads past them.  Without keys, ``far``
+    holds those slots' ``first`` words and nothing more.
+    """
+
+    def __init__(self, first: np.ndarray, keys: np.ndarray | None) -> None:
+        self.first = first
+        self.keys = keys
+        miss = ((first >> _SHIFT9) & _LO52) >= _ZIG_KI[(first & _LO8).astype(np.intp)]
+        slow = np.unique(np.flatnonzero(miss) // max(first.shape[1], 1))
+        self.far_slots = slow
+        self.far_row = np.full(len(first), -1, dtype=np.intp)
+        self.far_row[slow] = np.arange(len(slow))
+        self.far = (
+            first[slow] if keys is None
+            else philox_words(keys[slow], first.shape[1] + _MORE_WORDS)
+        )
+
+    def read(self, slots: np.ndarray, pos: np.ndarray) -> np.ndarray:
+        """Word ``pos`` of the streams of ``slots`` (arrays of one shape);
+        every slot must have ``far`` words."""
+        need = int(pos.max(initial=-1)) + 1
+        if need > self.far.shape[1]:
+            if self.keys is None:
+                raise ValueError(
+                    f"slot streams hold {self.far.shape[1]} words per slot; "
+                    f"a draw needed word {need}"
+                )
+            self.far = philox_words(self.keys[self.far_slots], need + _MORE_WORDS)
+        return self.far[self.far_row[slots], pos]
+
+
 class SlotStreams:
     """The Generators of many slots, drawing in lockstep from their words.
 
     Row i of ``words`` holds the first raw words of slot i's stream, as
-    :func:`philox_words` returns them.  Each draw takes the next word of
-    every slot and returns, per slot, the value that slot's
-    ``np.random.Generator(np.random.Philox(key))`` would return for the
-    same draw: ``random`` as numpy's ``(w >> 11) * 2**-53``,
-    ``standard_normal`` as the one-word path of numpy's ziggurat.  That
-    path covers about 98.5 % of normal draws; a slot with a normal outside
-    it gets ``ok[i] = False``, and its values from then on are not the
-    Generator's, so the caller must draw that slot again from its
-    Generator.  ``size=k`` takes k words per slot and returns shape
-    (m, k), like the Generator's ``size``.
+    :func:`philox_words` returns them for row i of ``keys``, one word per
+    draw the slots will make.  Each draw returns, per slot, the value that
+    slot's ``np.random.Generator(np.random.Philox(key))`` would return for
+    the same draw: ``random`` as numpy's ``(w >> 11) * 2**-53``, and
+    ``standard_normal`` as numpy's whole ziggurat.  About 1.5 % of normals
+    read more than one word; each slot keeps its own word cursor, so such
+    a slot's later draws read its later words, which come from
+    :func:`philox_words` on its key.  Without ``keys`` a slot may read
+    only its row of ``words``, and a draw that needs more raises
+    ValueError.  A block makes at most as many draws as ``words`` has
+    columns; ``size=k`` counts as k draws and returns shape (m, k), like
+    the Generator's ``size``.
     """
 
-    def __init__(self, words: np.ndarray) -> None:
-        self._words = words
-        self._next = 0
-        self.ok = np.ones(len(words), dtype=bool)
+    def __init__(self, words: np.ndarray, keys: np.ndarray | None = None) -> None:
+        self._src = _StageWords(words, keys)
+        self._slots: slice | np.ndarray = slice(0, len(words))
+        self._draws = 0
+        # words each slot has read beyond its draws, and the slots with any
+        self._lag = np.zeros(len(words), dtype=np.intp)
+        self._behind = self._lag[:0]
 
-    def rows(self, mask: np.ndarray) -> "SlotStreams":
-        """The streams of the slots where ``mask`` holds, at the same draw
-        and with the same ``ok`` flags."""
-        sub = SlotStreams(self._words[mask, self._next:])
-        sub.ok = self.ok[mask]
+    def rows(self, sel) -> "SlotStreams":
+        """The streams of the slots that ``sel`` (a slice, mask or index
+        array) selects, at the same draw."""
+        sub = SlotStreams.__new__(SlotStreams)
+        sub._src = self._src
+        if not isinstance(self._slots, slice):
+            sub._slots = self._slots[sel]
+        elif isinstance(sel, slice) and sel.step in (None, 1):
+            r = range(self._slots.start, self._slots.stop)[sel]
+            sub._slots = slice(r.start, r.stop)
+        else:
+            sub._slots = np.arange(self._slots.start, self._slots.stop)[sel]
+        sub._draws = self._draws
+        sub._lag = self._lag[sel].copy()
+        sub._behind = np.flatnonzero(sub._lag)
         return sub
 
-    def _take(self, size: int | None) -> np.ndarray:
-        k = 1 if size is None else size
-        if self._next + k > self._words.shape[1]:
+    def _stage_slots(self, local: np.ndarray) -> np.ndarray:
+        if isinstance(self._slots, slice):
+            return self._slots.start + local
+        return self._slots[local]
+
+    def _take(self, k: int) -> np.ndarray:
+        """The next k words of every slot, shape (m, k), as if each of the
+        k draws read one word."""
+        d = self._draws
+        if d + k > self._src.first.shape[1]:
             raise ValueError(
-                f"slot streams hold {self._words.shape[1]} words per slot; "
-                f"a draw needed word {self._next + k}"
+                f"slot streams hold {self._src.first.shape[1]} draws per slot; "
+                f"a draw needed draw {d + k}"
             )
-        w = self._words[:, self._next:self._next + k]
-        self._next += k
-        return w[:, 0] if size is None else w
+        w = self._src.first[self._slots, d:d + k]
+        self._draws = d + k
+        if self._behind.size:
+            b = self._behind
+            w = w.copy()
+            pos = (d + self._lag[b])[:, None] + np.arange(k)
+            w[b] = self._src.read(self._stage_slots(b)[:, None], pos)
+        return w
 
     def random(self, size: int | None = None) -> np.ndarray:
-        return (self._take(size) >> _SHIFT11).astype(np.float64) * 2.0**-53
+        u = _doubles(self._take(1 if size is None else size))
+        return u[:, 0] if size is None else u
 
     def standard_normal(self, size: int | None = None) -> np.ndarray:
-        w = self._take(size)
-        idx = (w & _LO8).astype(np.intp)
-        rabs = (w >> _SHIFT9) & _LO52
-        x = rabs.astype(np.float64) * _ZIG_WI[idx]
-        x = np.where(((w >> _SHIFT8) & _U64(1)).astype(bool), -x, x)
-        one_word = rabs < _ZIG_KI[idx]
-        self.ok &= one_word if size is None else one_word.all(axis=1)
-        return x
+        k = 1 if size is None else size
+        first = _first_word_normals(self._take(k))
+        x, fast = first[2], first[3]
+        if not fast.all():
+            # from a slot's first normal off the one-word path on, its
+            # normals are drawn whole from its own words, a column at a time
+            slots = np.flatnonzero(~fast.all(axis=1))
+            col = np.argmin(fast[slots], axis=1)
+            pos = self._draws - k + self._lag[slots] + col
+            stage = self._stage_slots(slots)
+            first = tuple(a[slots, col] for a in first)
+            live = np.arange(len(slots))
+            while True:
+                x[slots[live], col[live]], pos[live] = self._normals(
+                    stage[live], pos[live], first
+                )
+                col[live] += 1
+                live = live[col[live] < k]
+                if not live.size:
+                    break
+                first = _first_word_normals(self._src.read(stage[live], pos[live]))
+            self._lag[slots] = pos - self._draws
+            self._behind = np.flatnonzero(self._lag)
+        return x[:, 0] if size is None else x
+
+    def _normals(self, stage: np.ndarray, pos: np.ndarray, first):
+        """numpy's ``random_standard_normal`` on the streams of the
+        ``stage`` slots, whose words at ``pos`` are ``first``, decoded by
+        :func:`_first_word_normals`: the normals, and the position after
+        each.
+
+        A word off the one-word path reads a uniform ``u``.  In strip
+        ``idx > 0`` it keeps ``x`` when ``(FI[idx-1] - FI[idx]) * u +
+        FI[idx] < exp(-x*x/2)`` and starts over otherwise; in strip 0 it
+        samples the tail beyond ``R``, with ``u`` as the first uniform.
+        """
+        out = np.empty(len(stage))
+        todo = np.arange(len(stage))
+        idx, rabs, x, fast = first
+        while True:
+            if fast.any():
+                pos[todo[fast]] += 1
+                out[todo[fast]] = x[fast]
+                slow = ~fast
+                todo, idx, rabs, x = todo[slow], idx[slow], rabs[slow], x[slow]
+                if not todo.size:
+                    return out, pos
+            pos[todo] += 2  # the word and its uniform
+            u = _doubles(self._src.read(stage[todo], pos[todo] - 1))
+            keep = _ZIG_FD[idx] * u + _ZIG_FI[idx] < _libm(math.exp, -0.5 * x * x)
+            done = keep
+            tail = idx == 0
+            if tail.any():
+                keep = keep & ~tail
+                done = keep | tail
+                neg = ((rabs[tail] >> _SHIFT8) & _U64(1)).astype(bool)
+                xx = self._tail(stage, pos, todo[tail], u[tail])
+                out[todo[tail]] = np.where(neg, -(_ziggurat.R + xx), _ziggurat.R + xx)
+            out[todo[keep]] = x[keep]
+            todo = todo[~done]
+            if not todo.size:
+                return out, pos
+            w = self._src.read(stage[todo], pos[todo])
+            idx, rabs, x, fast = _first_word_normals(w)
+
+    def _tail(self, stage, pos, rows, u1) -> np.ndarray:
+        """The ziggurat's tail beyond ``R`` for ``rows`` of ``stage``,
+        whose first uniforms ``u1`` are read and whose words stand at
+        ``pos``: pairs ``xx = -log1p(-u1) / R``, ``yy = -log1p(-u2)``
+        until ``2 * yy > xx * xx``; returns ``xx``."""
+        xx = np.empty(len(rows))
+        wait = np.arange(len(rows))
+        while True:
+            j = rows[wait]
+            u2 = _doubles(self._src.read(stage[j], pos[j]))
+            pos[j] += 1
+            xt = -_ziggurat.INV_R * _libm(math.log1p, -u1)
+            yt = -_libm(math.log1p, -u2)
+            done = yt + yt > xt * xt
+            xx[wait[done]] = xt[done]
+            wait = wait[~done]
+            if not wait.size:
+                return xx
+            j = rows[wait]
+            u1 = _doubles(self._src.read(stage[j], pos[j]))
+            pos[j] += 1
 
 
 class StreamCursor:

@@ -242,12 +242,11 @@ def naive_smc(
     counted, so a step costs at most n simulations, booked as
     ``iteration`` simulations.  With a batch simulator the first array
     and each step's block draw every slot from its Philox words at once;
-    otherwise, and for the slots whose normals need a second ziggurat
-    word, slot by slot from its Generator, with the same results either
-    way.
+    otherwise slot by slot from its Generator, with the same results
+    either way.
     """
     # a function-level import: adaptive imports this module
-    from .adaptive import _prior_stage, _propose, _stage_words
+    from .adaptive import _prior_stage, _propose, _stage_streams
 
     sched = [float(e) for e in schedule]
     if len(sched) == 0:
@@ -262,7 +261,6 @@ def naive_smc(
     counter = counter if counter is not None else SimCounter()
     trace = RunTrace()
     arr = _prior_stage(model, n, key.child(0), counter, PHASE_PRIOR)
-    cursor = StreamCursor()
 
     for t, eps_next in enumerate(sched, start=1):
         factor = proposal_factor(proposal_scale(arr.thetas))
@@ -284,8 +282,8 @@ def naive_smc(
         )
         sims_before = counter.total
         _propose(
-            model, arr.thetas, factor, move_keys, _stage_words(model, move_keys),
-            0, n, moves, counter, cursor, defer=True,
+            model, arr.thetas, factor, move_keys, _stage_streams(model, move_keys),
+            0, n, moves, counter, defer=True,
         )
         accept = moves.dists <= eps_next
         arr.thetas[accept] = moves.thetas[accept]

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from abcsmc import ModelSpec, SimCounter, toy_model
+from abcsmc import ModelSpec, SimCounter, _ziggurat, toy_model
 
 KS_LEVEL = 0.001
 
@@ -31,6 +31,14 @@ def toy():
 def scalar_only(model):
     """The same model without its batch simulator."""
     return dataclasses.replace(model, simulator_batch=None)
+
+
+def one_word(words: np.ndarray) -> np.ndarray:
+    """Whether each raw Philox word, drawn as a normal, stays on the
+    ziggurat's one-word path (``rabs < KI[idx]``)."""
+    ki = np.array(_ziggurat.KI, dtype=np.uint64)
+    rabs = (words >> np.uint64(9)) & np.uint64(2**52 - 1)
+    return rabs < ki[(words & np.uint64(0xFF)).astype(np.intp)]
 
 
 class BumpLog(SimCounter):

@@ -14,6 +14,7 @@ import pytest
 
 from abcsmc import (
     BudgetExceededError,
+    CalibrationOutcome,
     DegenerateArrayError,
     ModelSpec,
     ParticleArray,
@@ -24,6 +25,7 @@ from abcsmc import (
     calibrate_alpha,
     distance,
     init_stage,
+    naive_smc,
     prior_predictive,
     proposal_factor,
     proposal_scale,
@@ -33,9 +35,11 @@ from abcsmc import (
     smc_iteration,
     toy_model,
 )
-from abcsmc.rng import SlotStreams, philox_words
+from abcsmc import adaptive
+from abcsmc.adaptive import _propose, _stage_streams
+from abcsmc.rng import StreamCursor, philox_words
 from abcsmc.samplers import _draw_proposal
-from conftest import TOY_2D, BumpLog, assert_ks_pass, scalar_only
+from conftest import TOY_2D, BumpLog, assert_ks_pass, one_word, scalar_only
 
 GRID = 100
 
@@ -228,11 +232,8 @@ class TestInitStage:
         for f in ("epsilon0", "batches_used", "v_prior", "v_final", "terminal"):
             assert getattr(res, f) == getattr(res_s, f)
         assert block_counter.snapshot() == slot_counter.snapshot()
-        # one block bump per batch; single bumps are the fallback slots
-        batches = [k for phase, k in block_counter.log if phase == "init"]
-        singles = batches.count(1)
-        assert len(batches) - singles == res.batches_used
-        assert 0 < singles < 0.05 * n * res.batches_used
+        # one block bump per batch, normals off the one-word path included
+        assert block_counter.log == [("init", n)] * res.batches_used
 
     def test_bad_prior_block_aborts_before_counting(self):
         # a NaN in the first batch raises before any draw is booked
@@ -256,6 +257,36 @@ class TestInitStage:
             init_stage(toy, 10, -0.1, RngKey(0))
         with pytest.raises(ValueError):
             init_stage(toy, 10, 0.1, RngKey(0), max_batches=1)
+
+
+def _calibrate_point_by_point(sorted_array, sigma, model, key, counter):
+    """:func:`calibrate_alpha` as a walk over every lattice point: one
+    proposal block for each point's new slots, then a recount of all
+    cached proposals against its tolerance."""
+    n = len(sorted_array)
+    factor = proposal_factor(sigma)
+    props = ParticleArray(
+        np.empty((n, model.param_dim)), np.empty((n, model.summary_dim)), np.empty(n)
+    )
+    keys = key.slot_keys(n)
+    streams = _stage_streams(model, keys)
+    a = hi = 0
+    while True:
+        a += 1
+        new_hi = (a * n) // GRID
+        if new_hi == 0:
+            continue
+        eps = float(sorted_array.dists[new_hi - 1])
+        adaptive._propose(
+            model, sorted_array.thetas, factor, keys, streams, hi, new_hi,
+            props, counter,
+        )
+        hi = new_hi
+        n_move = int(np.count_nonzero(props.dists[:hi] <= eps))
+        if a * hi + n_move * GRID >= GRID * hi:
+            return CalibrationOutcome(
+                a / GRID, eps, n_move / hi, hi, props.take(np.arange(hi))
+            )
 
 
 class TestCalibrateAlpha:
@@ -309,6 +340,37 @@ class TestCalibrateAlpha:
         cal = calibrate_alpha(small, sigma, toy, RngKey(56))
         assert cal.n_block >= 1
         assert cal.n_block == (round(cal.alpha * GRID) * 50) // GRID
+
+    @pytest.mark.parametrize("n", [50, 150, 1000])
+    @pytest.mark.parametrize(
+        "model",
+        [toy_model(10.0), TOY_2D, scalar_only(TOY_2D)],
+        ids=["toy", "toy-2d", "toy-2d-scalar"],
+    )
+    def test_skipping_equals_point_by_point_walk(self, model, n, monkeypatch):
+        # n = 50 leaves grid points without slots, n = 150 gives points
+        # of one or two new slots, and n = 1000 of ten
+        arr = init_stage(model, n, 0.0, RngKey(90), max_batches=3).array
+        sigma = proposal_scale(arr.thetas)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return _propose(*args, **kwargs)
+
+        monkeypatch.setattr(adaptive, "_propose", counted)
+        counter, ref_counter = SimCounter(), SimCounter()
+        cal = calibrate_alpha(arr, sigma, model, RngKey(91), counter)
+        n_skipping, calls[:] = len(calls), []
+        ref = _calibrate_point_by_point(arr, sigma, model, RngKey(91), ref_counter)
+        assert (cal.alpha, cal.epsilon, cal.rho_hat, cal.n_block) == (
+            ref.alpha, ref.epsilon, ref.rho_hat, ref.n_block
+        )
+        for f in ("thetas", "zs", "dists"):
+            assert np.array_equal(getattr(cal.proposals, f), getattr(ref.proposals, f))
+        assert counter.snapshot() == ref_counter.snapshot()
+        # the walk visits fewer points than the lattice has up to the stop
+        assert n_skipping < len(calls)
 
     def test_requires_sorted_input(self, toy, init_500):
         res, _ = init_500
@@ -440,12 +502,9 @@ class TestSmcIteration:
         assert np.array_equal(out.dists, out_s.dists)
         assert record == record_s
         assert counter.snapshot() == counter_s.snapshot()
-        # some fresh slots needed a second word for a normal, so the
-        # block path handed them to the Generator
-        rng = SlotStreams(philox_words(RngKey(57).child(2).slot_keys(500), 3))
-        rng.standard_normal(1)
-        toy.simulator_batch(np.zeros((500, 1)), rng)
-        assert 0 < np.count_nonzero(~rng.ok) < 50
+        # some fresh slots' normals needed more than one word
+        words = philox_words(RngKey(57).child(2).slot_keys(500), 3)
+        assert 0 < np.count_nonzero(~one_word(words[:, [0, 2]]).all(axis=1)) < 50
 
     def test_bad_batch_block_aborts_before_counting(self, init_500):
         # a non-finite block raises before its simulations are booked
@@ -625,3 +684,67 @@ class TestTwoParametersScalar(TestTwoParameters):
             assert np.array_equal(final.zs, final_b.zs)
             assert trace.to_dict() == trace_b.to_dict()
             assert counter.snapshot() == counter_b.snapshot()
+
+
+def _twelve_normals(theta, rng):
+    # theta is one (1,) vector with a Generator, or (m, 1) rows with
+    # SlotStreams; the draws and the sums' rounding are the same either way
+    sd = np.where(rng.random() < 0.5, 1.0, 0.1)
+    e = rng.standard_normal(12)
+    acc = e[..., 0]
+    for j in range(1, 12):
+        acc = acc + e[..., j]
+    return theta + np.expand_dims(sd * acc / 12.0, -1)
+
+
+# the toy noise averaged over twelve normals: a slot draws thirteen
+# normals with its proposal, and one in seven slots leaves the one-word
+# path at least once
+TWELVE = ModelSpec(
+    param_dim=1,
+    prior_box=[(-10.0, 10.0)],
+    summary_dim=1,
+    observed=[0.0],
+    simulator=_twelve_normals,
+    name="twelve-normals",
+    simulator_batch=_twelve_normals,
+    draws_per_slot=13,
+)
+
+
+class TestManyNormalsPerSlot:
+    """A batch model with many normals per slot never leaves the block
+    path and gives its scalar twin's run bit for bit."""
+
+    @staticmethod
+    def _seeks(monkeypatch):
+        seeks = []
+        seek = StreamCursor.seek
+
+        def counted(self, key_words):
+            seeks.append(1)
+            return seek(self, key_words)
+
+        monkeypatch.setattr(StreamCursor, "seek", counted)
+        return seeks
+
+    @pytest.mark.parametrize(
+        "sampler",
+        [
+            lambda m, c: run_self_calibrated(m, 1000, 0.02, RngKey(95), counter=c),
+            lambda m, c: naive_smc(m, 1000, [2.0, 0.5, 0.1, 0.04], RngKey(96), c),
+        ],
+        ids=["self-calibrated", "naive-smc"],
+    )
+    def test_block_path_equals_per_slot_path(self, sampler, monkeypatch):
+        seeks = self._seeks(monkeypatch)
+        counter, counter_s = SimCounter(), SimCounter()
+        final, trace = sampler(TWELVE, counter)
+        assert seeks == []
+        final_s, trace_s = sampler(scalar_only(TWELVE), counter_s)
+        assert len(seeks) >= counter_s.total  # the twin seeks every slot
+        for f in ("thetas", "zs", "dists"):
+            assert np.array_equal(getattr(final, f), getattr(final_s, f))
+        assert trace.to_dict() == trace_s.to_dict()
+        assert counter.snapshot() == counter_s.snapshot()
+        assert len(trace.iterations) >= 2

@@ -25,7 +25,7 @@ from abcsmc import (
 from abcsmc.adaptive import _prior_stage
 from abcsmc.model import simulate_batch
 from abcsmc.rng import SlotStreams, philox_words
-from conftest import assert_ks_pass
+from conftest import BumpLog, assert_ks_pass, one_word
 
 
 @pytest.fixture(scope="module")
@@ -140,19 +140,18 @@ class TestToySimulator:
 
     @staticmethod
     def _block_draws(toy, thetas, key):
-        """Row i simulated on stream key.child(i): one block, then the slots
-        the block cannot reproduce from their Generators."""
+        """Row i simulated on stream key.child(i), all rows in one block;
+        also whether each slot's normal left the one-word path."""
         keys = key.slot_keys(len(thetas))
-        rng = SlotStreams(philox_words(keys, toy.draws_per_slot))
-        zs = simulate_batch(toy, thetas, rng)
-        for i in np.flatnonzero(~rng.ok):
-            zs[i] = simulate(toy, thetas[i], key.child(i).generator())
-        return zs, rng.ok
+        words = philox_words(keys, toy.draws_per_slot)
+        zs = simulate_batch(toy, thetas, SlotStreams(words, keys))
+        # the toy draws a uniform, then its normal
+        return zs, ~one_word(words[:, 1])
 
     def test_batch_simulator_equals_scalar_simulator(self, toy):
         thetas = np.linspace(-10.0, 10.0, 2000)[:, None]
-        zs, ok = self._block_draws(toy, thetas, RngKey(12))
-        assert 0 < np.count_nonzero(~ok) < 100
+        zs, slow = self._block_draws(toy, thetas, RngKey(12))
+        assert 0 < np.count_nonzero(slow) < 100
         for i in range(2000):
             g = RngKey(12).child(i).generator()
             assert np.array_equal(zs[i], simulate(toy, thetas[i], g))
@@ -285,27 +284,13 @@ class TestSimulateBatchContract:
         return SlotStreams(np.zeros((m, 1), dtype=np.uint64))
 
     def test_counter_bumps_once_by_the_row_count(self, toy):
-        counter = SimCounter()
+        counter = BumpLog()
         thetas = np.linspace(-1.0, 1.0, 300)[:, None]
-        rng = SlotStreams(philox_words(RngKey(13).slot_keys(300), 2))
+        keys = RngKey(13).slot_keys(300)
+        rng = SlotStreams(philox_words(keys, 2), keys)
         zs = simulate_batch(toy, thetas, rng, counter, "phase-a")
         assert zs.shape == (300, 1)
-        assert 0 < np.count_nonzero(rng.ok) < 300
-        assert counter.count("phase-a") == counter.total == np.count_nonzero(rng.ok)
-
-    def test_rows_left_to_the_generator_are_not_checked(self):
-        # strip 1 never takes the one-word path, strip 2 with rabs 0 does
-        rng = SlotStreams(np.array([[1], [2]], dtype=np.uint64))
-
-        def batch(thetas, rng):
-            rng.standard_normal()
-            return np.where(rng.ok[:, None], thetas, np.nan)
-
-        counter = SimCounter()
-        zs = simulate_batch(self._model(batch), np.zeros((2, 1)), rng, counter)
-        assert rng.ok.tolist() == [False, True]
-        assert zs[1, 0] == 0.0
-        assert counter.total == 1
+        assert counter.log == [("phase-a", 300)]
 
     @pytest.mark.parametrize(
         "output",

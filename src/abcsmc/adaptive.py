@@ -45,6 +45,7 @@ from .model import (
     distance,
     distances,
     prior_predictive,
+    prior_sample,
     simulate,
     simulate_batch,
 )
@@ -124,8 +125,7 @@ def _prior_stage(model, n, key, counter, phase) -> ParticleArray:
     if model.simulator_batch is None:
         return prior_predictive(model, n, key, counter, phase)
     rng = _stage_streams(model, key.slot_keys(n))
-    # prior_sample's rng.uniform(lo, hi) is lo + (hi - lo) * random()
-    thetas = model._lo + (model._hi - model._lo) * rng.random(model.param_dim)
+    thetas = prior_sample(model, rng)
     zs = simulate_batch(model, thetas, rng, counter, phase)
     return ParticleArray(thetas, zs, distances(model, zs))
 

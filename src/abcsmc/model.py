@@ -46,7 +46,8 @@ class Particle(NamedTuple):
 class ModelSpec:
     """Immutable description of an inference problem.
 
-    prior_box has shape (param_dim, 2) with strictly increasing rows;
+    prior_box has shape (param_dim, 2) with strictly increasing rows of
+    finite width (the prior is drawn as ``lower + width * u``);
     distance_scales are strictly positive and default to 1 per summary
     coordinate.  The simulator must return a length-``summary_dim``
     vector and may consume its rng stream freely.  The optional
@@ -78,6 +79,10 @@ class ModelSpec:
         box = np.asarray(self.prior_box, dtype=float).reshape(self.param_dim, 2)
         if not np.all(box[:, 0] < box[:, 1]):
             raise ValueError("prior box must have lower < upper in every coordinate")
+        with np.errstate(over="ignore"):
+            span = box[:, 1] - box[:, 0]
+        if not np.all(np.isfinite(span)):
+            raise ValueError("prior box must have a finite width in every coordinate")
         obs = np.asarray(self.observed, dtype=float).reshape(self.summary_dim)
         scales = self.distance_scales
         scales = (
@@ -99,6 +104,8 @@ class ModelSpec:
         object.__setattr__(self, "_inv0", float(1.0 / scales[0]))
         object.__setattr__(self, "_lo", box[:, 0])
         object.__setattr__(self, "_hi", box[:, 1])
+        span.setflags(write=False)
+        object.__setattr__(self, "_span", span)
 
     def in_box(self, theta: np.ndarray) -> bool:
         if self.param_dim == 1:
@@ -112,13 +119,18 @@ class ModelSpec:
 
 
 def prior_sample(
-    model: ModelSpec, rng: np.random.Generator, size: int | None = None
+    model: ModelSpec, rng: np.random.Generator | SlotStreams, size: int | None = None
 ) -> np.ndarray:
-    """Draw from the box-uniform prior: one vector, or (size, p) if given."""
-    lo, hi = model._lo, model._hi
-    if size is None:
-        return rng.uniform(lo, hi)
-    return rng.uniform(lo, hi, size=(size, model.param_dim))
+    """Draw from the box-uniform prior: one vector, or (size, p) if given.
+
+    The draw is ``lo + (hi - lo) * rng.random(...)``, numpy's own formula
+    for ``rng.uniform(lo, hi)``, so it equals that call bit for bit
+    without its per-call argument checks.  On the lockstep streams of m
+    slots (:class:`SlotStreams`, no ``size``) it returns the (m, p)
+    draws the slots' Generators would make.
+    """
+    shape = model.param_dim if size is None else (size, model.param_dim)
+    return model._lo + model._span * rng.random(shape)
 
 
 def simulate(

@@ -66,6 +66,21 @@ class TestModelSpecValidation:
                 simulator=lambda t, r: np.array([0.0]),
             )
 
+    @pytest.mark.parametrize(
+        "box", [(-1e308, 1e308), (-np.inf, np.inf)], ids=["overflow", "infinite"]
+    )
+    def test_rejects_infinite_box_width(self, box):
+        # prior_sample would draw inf or NaN parameters from such a box, on
+        # which Generator.uniform raises OverflowError
+        with pytest.raises(ValueError, match="finite width"):
+            ModelSpec(
+                param_dim=1,
+                prior_box=[box],
+                summary_dim=1,
+                observed=[0.0],
+                simulator=lambda t, r: np.array([0.0]),
+            )
+
     def test_rejects_nonpositive_scales(self):
         with pytest.raises(ValueError):
             _model_2d(scales=(1.0, 0.0))
@@ -96,6 +111,31 @@ class TestPriorSample:
             th = prior_sample(toy, g)
             assert th.shape == (1,)
             assert -10.0 <= th[0] <= 10.0
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            toy_model(0.5),
+            toy_model(100.0),
+            ModelSpec(
+                param_dim=2,
+                prior_box=[(-3.0, 7.0), (0.25, 0.5)],
+                summary_dim=1,
+                observed=[0.0],
+                simulator=lambda t, r: t[:1],
+            ),
+        ],
+        ids=["toy-0.5", "toy-100", "asymmetric-2d"],
+    )
+    def test_equals_generator_uniform(self, model):
+        lo, hi = model.prior_box[:, 0], model.prior_box[:, 1]
+        for key in (RngKey(6), RngKey(7).child(3)):
+            g, ref = key.generator(), key.generator()
+            for _ in range(200):
+                assert prior_sample(model, g).tobytes() == ref.uniform(lo, hi).tobytes()
+            draws = prior_sample(model, g, size=5_000)
+            assert draws.shape == (5_000, model.param_dim)
+            assert draws.tobytes() == ref.uniform(lo, hi, size=draws.shape).tobytes()
 
     def test_mean_of_many_draws(self, toy):
         # CLT: 3 * (20/sqrt(12)) / sqrt(1e6) = 0.0173 < 0.02

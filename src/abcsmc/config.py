@@ -59,22 +59,16 @@ def _parse_schedule(raw: str, key: str) -> list[float]:
     return [_parse_float(p, key) for p in parts]
 
 
+# a field's parser by its annotation; ``X | None`` parses like ``X``, and
+# an annotation missing here fails at import
+_BY_ANNOTATION = {
+    "str": lambda raw, key: raw,
+    "int": _parse_int,
+    "float": _parse_float,
+    "list[float]": _parse_schedule,
+}
 _PARSERS = {
-    "sampler": lambda raw, key: raw,
-    "model": lambda raw, key: raw,
-    "prior_halfwidth": _parse_float,
-    "n": _parse_int,
-    "n_prior": _parse_int,
-    "epsilon_target": _parse_float,
-    "quantile": _parse_float,
-    "schedule": _parse_schedule,
-    "mcmc_steps": _parse_int,
-    "rho_stop": _parse_float,
-    "max_iters": _parse_int,
-    "replicates": _parse_int,
-    "seed": _parse_int,
-    "workers": _parse_int,
-    "out_dir": lambda raw, key: raw,
+    f.name: _BY_ANNOTATION[f.type.removesuffix(" | None")] for f in fields(RunConfig)
 }
 
 

@@ -239,24 +239,18 @@ def prior_predictive(
     phase: str = PHASE_PRIOR,
 ) -> ParticleArray:
     """Simulate n particles from the prior-predictive: slot i draws its
-    parameter and its summary from stream ``key.child(i)``."""
-    out = ParticleArray(
-        np.empty((n, model.param_dim)), np.empty((n, model.summary_dim)), np.empty(n)
-    )
-    _prior_slots(model, key.slot_keys(n), range(n), out, counter, phase)
-    return out
-
-
-def _prior_slots(model: ModelSpec, keys, slots, out, counter, phase) -> None:
-    """The prior-predictive draw of each slot i in ``slots``, from a
-    Generator on stream ``keys[i]``, written to row i of ``out``."""
-    thetas, zs, dists = out.thetas, out.zs, out.dists
+    parameter and its summary from a Generator on stream ``key.child(i)``."""
+    thetas = np.empty((n, model.param_dim))
+    zs = np.empty((n, model.summary_dim))
+    dists = np.empty(n)
+    keys = key.slot_keys(n)
     cursor = StreamCursor()
-    for i in slots:
+    for i in range(n):
         g = cursor.seek(keys[i])
         thetas[i] = prior_sample(model, g)
         zs[i] = simulate(model, thetas[i], g, counter, phase)
         dists[i] = distance(model, zs[i])
+    return ParticleArray(thetas, zs, dists)
 
 
 def toy_model(prior_halfwidth: float = 10.0) -> ModelSpec:

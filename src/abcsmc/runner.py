@@ -20,6 +20,7 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -66,9 +67,12 @@ def build_model(cfg: RunConfig) -> ModelSpec:
 
 
 def _fmt(x) -> str:
-    """Shortest round-trip decimal for floats; plain digits for ints."""
+    """Shortest round-trip decimal for floats; plain digits for ints;
+    text as it is; ``nan`` for a missing value."""
     if x is None:
         return "nan"
+    if isinstance(x, str):
+        return x
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return repr(float(x))
@@ -111,14 +115,6 @@ def run_replicate(cfg: RunConfig, replicate: int) -> ReplicateResult:
         )
     elif cfg.sampler == "naive-smc":
         particles, trace = naive_smc(model, cfg.n, cfg.schedule, key, counter)
-        trace.config = {
-            "sampler": "naive-smc",
-            "model": model.name,
-            "n": cfg.n,
-            "schedule": list(cfg.schedule),
-        }
-        trace.target_reached = True
-        trace.n_final = len(particles)
     elif cfg.sampler == "mcmc":
         particles, trace = _run_mcmc(cfg, model, key, counter)
     else:
@@ -200,25 +196,37 @@ def write_particles_csv(path: str, particles: ParticleArray) -> None:
             fh.writelines(",".join(map(repr, row)) + tail for row in rows)
 
 
-def write_trace_json(path: str, trace: RunTrace) -> None:
+def _write_csv(path: str, header: str, rows) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(trace.to_dict(), fh, indent=2, sort_keys=True)
+        fh.write(header + "\n")
+        fh.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
+
+
+def _write_json(path: str, obj) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def _summary_row(res: ReplicateResult) -> str:
-    t = res.trace
-    return ",".join(
-        [
-            str(res.replicate),
-            str(t.total_sims),
-            _fmt(t.final_epsilon),
-            _fmt(t.final_ess),
-            _fmt(t.gain),
-            str(len(t.iterations)),
-            _fmt(res.wall_ms),
-        ]
-    )
+def write_trace_json(path: str, trace: RunTrace) -> None:
+    _write_json(path, trace.to_dict())
+
+
+def _write_replicate(out: str, res: ReplicateResult) -> list[str]:
+    """Write one replicate's particle and trace files; return their paths."""
+    p_path = os.path.join(out, f"particles_{res.replicate}.csv")
+    t_path = os.path.join(out, f"trace_{res.replicate}.json")
+    write_particles_csv(p_path, res.particles)
+    write_trace_json(t_path, res.trace)
+    return [p_path, t_path]
+
+
+def _outcome(cfg: RunConfig, replicate: int) -> ReplicateResult | Exception:
+    """The replicate's result, or the exception it raised."""
+    try:
+        return run_replicate(cfg, replicate)
+    except Exception as exc:  # preserved as a .partial artifact
+        return exc
 
 
 def run_experiment(cfg: RunConfig, out_dir: str | None = None) -> ExperimentOutput:
@@ -233,33 +241,18 @@ def run_experiment(cfg: RunConfig, out_dir: str | None = None) -> ExperimentOutp
     """
     out = out_dir if out_dir is not None else cfg.out_dir
     os.makedirs(out, exist_ok=True)
+
+    replicates = range(1, cfg.replicates + 1)
+    outcomes = []
+    if replicates:
+        with ThreadPoolExecutor(max_workers=min(cfg.workers, len(replicates))) as pool:
+            outcomes = list(pool.map(partial(_outcome, cfg), replicates))
+    results = [o for o in outcomes if isinstance(o, ReplicateResult)]
+    failures = [(r, o) for r, o in zip(replicates, outcomes) if isinstance(o, Exception)]
+
     paths: list[str] = []
-
-    n_rep = cfg.replicates
-    results: list[ReplicateResult | None] = [None] * n_rep
-    failures: list[tuple[int, Exception]] = []
-    if n_rep:
-        workers = min(cfg.workers, n_rep)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                (r, pool.submit(run_replicate, cfg, r)) for r in range(1, n_rep + 1)
-            ]
-            for r, fut in futures:
-                try:
-                    results[r - 1] = fut.result()
-                except Exception as exc:  # preserved as a .partial artifact
-                    failures.append((r, exc))
-
-    for r in range(1, n_rep + 1):
-        res = results[r - 1]
-        if res is None:
-            continue
-        p_path = os.path.join(out, f"particles_{r}.csv")
-        t_path = os.path.join(out, f"trace_{r}.json")
-        write_particles_csv(p_path, res.particles)
-        write_trace_json(t_path, res.trace)
-        paths += [p_path, t_path]
-
+    for res in results:
+        paths += _write_replicate(out, res)
     for r, exc in failures:
         err_payload = {
             "replicate": r,
@@ -272,23 +265,24 @@ def run_experiment(cfg: RunConfig, out_dir: str | None = None) -> ExperimentOutp
                 "epsilon0": exc.partial.epsilon0,
             }
         partial_path = os.path.join(out, f"trace_{r}.json.partial")
-        with open(partial_path, "w", encoding="utf-8") as fh:
-            json.dump(err_payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(partial_path, err_payload)
         paths.append(partial_path)
 
-    summary_name = "summary.csv" if not failures else "summary.csv.partial"
-    summary_path = os.path.join(out, summary_name)
-    with open(summary_path, "w", encoding="utf-8") as fh:
-        fh.write(SUMMARY_HEADER + "\n")
-        for res in results:
-            if res is not None:
-                fh.write(_summary_row(res) + "\n")
+    summary_path = os.path.join(out, "summary.csv.partial" if failures else "summary.csv")
+    _write_csv(
+        summary_path,
+        SUMMARY_HEADER,
+        (
+            [res.replicate, res.trace.total_sims, res.trace.final_epsilon,
+             res.trace.final_ess, res.trace.gain, len(res.trace.iterations), res.wall_ms]
+            for res in results
+        ),
+    )
     paths.append(summary_path)
 
     if failures:
         raise failures[0][1]
-    return ExperimentOutput([r for r in results if r is not None], paths)
+    return ExperimentOutput(results, paths)
 
 
 def _target_epsilon(cfg: RunConfig) -> float:
@@ -329,15 +323,11 @@ def table1_report(cfgs: list[RunConfig], out_dir: str | None = None) -> str:
         costs = [res.trace.total_sims for res in output.results]
         esses = [res.trace.final_ess for res in output.results]
         rows.append(
-            f"{cfg.sampler},{cfg.replicates},"
-            f"{_fmt(float(np.mean(costs)))},{_fmt(float(np.mean(esses)))}"
+            [cfg.sampler, cfg.replicates, float(np.mean(costs)), float(np.mean(esses))]
         )
 
     table_path = os.path.join(out, "table1.csv")
-    with open(table_path, "w", encoding="utf-8") as fh:
-        fh.write(TABLE1_HEADER + "\n")
-        for row in rows:
-            fh.write(row + "\n")
+    _write_csv(table_path, TABLE1_HEADER, rows)
     return table_path
 
 
@@ -357,8 +347,7 @@ def gain_curve(cfg: RunConfig, out_dir: str | None = None) -> str:
     os.makedirs(out, exist_ok=True)
 
     res = run_replicate(cfg, 1)
-    write_particles_csv(os.path.join(out, "particles_1.csv"), res.particles)
-    write_trace_json(os.path.join(out, "trace_1.json"), res.trace)
+    _write_replicate(out, res)
 
     trace = res.trace
     init = trace.init
@@ -369,38 +358,18 @@ def gain_curve(cfg: RunConfig, out_dir: str | None = None) -> str:
         p = toy_accept_prob(eps, cfg.prior_halfwidth)
         return gain_factor(cum_sims, ess, p) if p > 0.0 else float("nan")
 
-    lines = [GAIN_CURVE_HEADER]
     cum = k_batches * cfg.n
-    lines.append(
-        ",".join(
-            [
-                "0",
-                _fmt(init["epsilon0"]),
-                _fmt(1.0 / k_batches),
-                "nan",
-                str(cum),
-                _fmt(gain_at(init["ess"], init["epsilon0"], cum)),
-                str(stop_iter),
-            ]
-        )
-    )
+    rows = [
+        [0, init["epsilon0"], 1.0 / k_batches, None, cum,
+         gain_at(init["ess"], init["epsilon0"], cum), stop_iter]
+    ]
     for rec in trace.iterations:
         cum = k_batches * cfg.n + rec.t * cfg.n
-        lines.append(
-            ",".join(
-                [
-                    str(rec.t),
-                    _fmt(rec.epsilon),
-                    _fmt(rec.alpha),
-                    _fmt(rec.rho_hat),
-                    str(cum),
-                    _fmt(gain_at(rec.ess, rec.epsilon, cum)),
-                    str(stop_iter),
-                ]
-            )
+        rows.append(
+            [rec.t, rec.epsilon, rec.alpha, rec.rho_hat, cum,
+             gain_at(rec.ess, rec.epsilon, cum), stop_iter]
         )
 
     curve_path = os.path.join(out, "gain_by_iter.csv")
-    with open(curve_path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_csv(curve_path, GAIN_CURVE_HEADER, rows)
     return curve_path

@@ -243,7 +243,9 @@ def naive_smc(
     ``iteration`` simulations.  With a batch simulator the first array
     and each step's block draw every slot from its Philox words at once;
     otherwise slot by slot from its Generator, with the same results
-    either way.
+    either way.  The trace records the run's settings; a run that
+    returns has reached the schedule's last tolerance with all n
+    particles.
     """
     # a function-level import: adaptive imports this module
     from .adaptive import _prior_stage, _propose, _stage_streams
@@ -259,7 +261,14 @@ def naive_smc(
         raise ValueError("need at least two particles")
 
     counter = counter if counter is not None else SimCounter()
-    trace = RunTrace()
+    trace = RunTrace(
+        config={
+            "sampler": "naive-smc",
+            "model": model.name,
+            "n": n,
+            "schedule": list(schedule),
+        }
+    )
     arr = _prior_stage(model, n, key.child(0), counter, PHASE_PRIOR)
 
     for t, eps_next in enumerate(sched, start=1):
@@ -304,5 +313,7 @@ def naive_smc(
 
     trace.final_epsilon = sched[-1]
     trace.final_ess = trace.iterations[-1].ess
+    trace.target_reached = True
+    trace.n_final = n
     trace.sim_counts = counter.snapshot()
     return arr.sorted_by_dist(), trace

@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import math
+import sys
+import types
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
 from abcsmc import ConfigError, RunConfig, load_config, parse_config, validate_config
+from abcsmc import config
 from abcsmc.config import _PARSERS
 
 GOOD = """
@@ -106,6 +110,29 @@ class TestParsing:
 
     def test_every_field_has_a_parser(self):
         assert set(_PARSERS) == {f.name for f in fields(RunConfig)}
+
+    def test_each_key_parses_as_its_type(self):
+        keys_by_type = {
+            str: ("sampler", "model", "out_dir"),
+            int: ("n", "n_prior", "mcmc_steps", "max_iters", "replicates", "seed", "workers"),
+            float: ("prior_halfwidth", "epsilon_target", "quantile", "rho_stop"),
+            list: ("schedule",),
+        }
+        parsed = {str: "7", int: 7, float: 7.0, list: [7.0]}
+        assert sorted(k for keys in keys_by_type.values() for k in keys) == sorted(_PARSERS)
+        for kind, keys in keys_by_type.items():
+            for key in keys:
+                value = getattr(parse_config(f"{key} = 7\n", validate=False), key)
+                assert type(value) is kind and value == parsed[kind], key
+
+    def test_unmapped_annotation_fails_at_import(self, monkeypatch):
+        source = Path(config.__file__).read_text(encoding="utf-8")
+        source = source.replace('out_dir: str = "out"', 'out_dir: bytes = b"out"')
+        probe = types.ModuleType("abcsmc._config_probe")
+        probe.__package__ = "abcsmc"
+        monkeypatch.setitem(sys.modules, probe.__name__, probe)
+        with pytest.raises(KeyError, match="bytes"):
+            exec(compile(source, "config_probe.py", "exec"), probe.__dict__)
 
 
 def _cfg(**kw):

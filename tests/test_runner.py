@@ -5,17 +5,20 @@ from __future__ import annotations
 
 import json
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from abcsmc import (
+    BudgetExceededError,
     ConfigError,
     ParticleArray,
     RunConfig,
     RunTrace,
     ScheduleInfeasibleError,
     gain_curve,
+    gain_factor,
     run_experiment,
     run_replicate,
     table1_report,
@@ -23,6 +26,8 @@ from abcsmc import (
     validate_config,
 )
 from abcsmc import runner
+
+_fmt = runner._fmt
 
 
 def _sc_cfg(**kw):
@@ -64,6 +69,26 @@ def curve(tmp_path_factory):
     trace = RunTrace.from_dict(json.loads(_read(str(out / "trace_1.json"))))
     rows = [line.split(",") for line in _read(path).strip().splitlines()]
     return cfg, trace, rows[0], rows[1:]
+
+
+@pytest.fixture(scope="module")
+def table1_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("table1")
+    reject = RunConfig(
+        sampler="reject", n_prior=5000, epsilon_target=0.2, seed=21, replicates=2
+    )
+    adaptive = _sc_cfg(epsilon_target=0.2, seed=21, replicates=2)
+    for c in (reject, adaptive):
+        validate_config(c)
+    path = table1_report([reject, adaptive], str(out))
+    return [reject, adaptive], out, path
+
+
+def _traces(out, replicates):
+    return [
+        RunTrace.from_dict(json.loads(_read(str(out / f"trace_{r}.json"))))
+        for r in range(1, replicates + 1)
+    ]
 
 
 class TestRunExperiment:
@@ -157,6 +182,123 @@ class TestRunExperiment:
         assert payload["error"]["type"] == "ScheduleInfeasibleError"
         assert payload["replicate"] == 1
 
+    def test_paths_are_in_write_order(self, sc_run):
+        _, out, output = sc_run
+        assert output.paths == [
+            str(out / name)
+            for name in (
+                "particles_1.csv",
+                "trace_1.json",
+                "particles_2.csv",
+                "trace_2.json",
+                "summary.csv",
+            )
+        ]
+
+    def test_one_failing_replicate(self, tmp_path, monkeypatch):
+        # A failing run raises instead of returning its path list, so the
+        # order the list is built in is read off the order of the writes.
+        cfg = _sc_cfg(replicates=3, workers=2)
+        real = runner.run_replicate
+
+        def flaky(cfg, r):
+            if r == 2:
+                partial = SimpleNamespace(batches_used=7, epsilon0=0.5)
+                raise BudgetExceededError("cap hit", partial=partial)
+            return real(cfg, r)
+
+        written = []
+
+        def recording_open(path, mode="r", *args, **kwargs):
+            if "w" in mode:
+                written.append(os.path.basename(path))
+            return open(path, mode, *args, **kwargs)
+
+        monkeypatch.setattr(runner, "run_replicate", flaky)
+        monkeypatch.setattr(runner, "open", recording_open, raising=False)
+        with pytest.raises(BudgetExceededError, match="cap hit"):
+            run_experiment(cfg, str(tmp_path))
+        assert written == [
+            "particles_1.csv",
+            "trace_1.json",
+            "particles_3.csv",
+            "trace_3.json",
+            "trace_2.json.partial",
+            "summary.csv.partial",
+        ]
+        payload = {
+            "config": cfg.to_dict(),
+            "error": {"type": "BudgetExceededError", "message": "cap hit"},
+            "partial": {"batches_used": 7, "epsilon0": 0.5},
+            "replicate": 2,
+        }
+        assert _read(str(tmp_path / "trace_2.json.partial")) == (
+            json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        )
+        lines = _read(str(tmp_path / "summary.csv.partial")).splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == ["1", "3"]
+
+
+class TestExactText:
+    """The small CSVs hold exactly ``_fmt`` of each value: ``3`` and not
+    ``3.0`` for an integer, ``nan`` for a missing value, the sampler
+    name as it is."""
+
+    def test_summary_rows(self, sc_run):
+        _, out, output = sc_run
+        lines = _read(str(out / "summary.csv")).splitlines()
+        assert len(lines) == len(output.results) + 1
+        for res, trace, line in zip(output.results, _traces(out, 2), lines[1:]):
+            values = [
+                res.replicate,
+                trace.total_sims,
+                trace.final_epsilon,
+                trace.final_ess,
+                trace.gain,
+                len(trace.iterations),
+                res.wall_ms,
+            ]
+            assert line == ",".join(_fmt(v) for v in values)
+            fields = line.split(",")
+            assert fields[1] == str(trace.total_sims) and fields[5] == str(len(trace.iterations))
+
+    def test_table1_rows(self, table1_run):
+        cfgs, out, path = table1_run
+        lines = _read(path).splitlines()
+        assert lines[0] == "sampler,replicates,cost,ess"
+        assert len(lines) == len(cfgs) + 1
+        for i, (cfg, line) in enumerate(zip(cfgs, lines[1:]), start=1):
+            traces = _traces(out / f"{i:02d}-{cfg.sampler}", cfg.replicates)
+            cost = float(np.mean([t.total_sims for t in traces]))
+            ess = float(np.mean([t.final_ess for t in traces]))
+            row = [cfg.sampler, _fmt(cfg.replicates), _fmt(cost), _fmt(ess)]
+            assert line == ",".join(row)
+        assert lines[1] == "reject,2,5000.0," + lines[1].rsplit(",", 1)[1]
+
+    def test_gain_curve_rows(self, curve):
+        cfg, trace, _, rows = curve
+        k = trace.init["batches_used"]
+        stop = trace.stop_iter if trace.stop_iter is not None else -1
+
+        def gain(ess, eps, cum):
+            return gain_factor(cum, ess, toy_accept_prob(eps, cfg.prior_halfwidth))
+
+        cum = k * cfg.n
+        eps0 = trace.init["epsilon0"]
+        expected = [
+            [0, eps0, 1.0 / k, None, cum, gain(trace.init["ess"], eps0, cum), stop]
+        ]
+        for rec in trace.iterations:
+            cum = k * cfg.n + rec.t * cfg.n
+            expected.append(
+                [rec.t, rec.epsilon, rec.alpha, rec.rho_hat, cum,
+                 gain(rec.ess, rec.epsilon, cum), stop]
+            )
+        assert [",".join(row) for row in rows] == [
+            ",".join(_fmt(v) for v in row) for row in expected
+        ]
+        assert rows[0][3] == "nan" and rows[0][4] == str(k * cfg.n)
+
 
 class TestOtherSamplers:
     def test_rejection_gain_is_near_one(self, tmp_path):
@@ -189,14 +331,8 @@ class TestOtherSamplers:
 
 
 class TestTable1:
-    def test_report_layout_and_rejection_cost(self, tmp_path):
-        reject = RunConfig(
-            sampler="reject", n_prior=5000, epsilon_target=0.2, seed=21, replicates=2
-        )
-        adaptive = _sc_cfg(epsilon_target=0.2, seed=21, replicates=2)
-        for c in (reject, adaptive):
-            validate_config(c)
-        path = table1_report([reject, adaptive], str(tmp_path))
+    def test_report_layout_and_rejection_cost(self, table1_run):
+        _, tmp_path, path = table1_run
         lines = _read(path).strip().splitlines()
         assert lines[0] == "sampler,replicates,cost,ess"
         assert len(lines) == 3

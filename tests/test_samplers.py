@@ -252,6 +252,11 @@ class TestNaiveSmc:
         _, trace = naive_smc(toy, 500, [3.0, 1.0], RngKey(36))
         assert [r.epsilon for r in trace.iterations] == [3.0, 1.0]
         assert trace.final_epsilon == 1.0
+        assert trace.config == {
+            "sampler": "naive-smc", "model": "toy", "n": 500, "schedule": [3.0, 1.0]
+        }
+        assert trace.target_reached is True
+        assert trace.n_final == 500
 
     @pytest.mark.parametrize("bad", [[np.inf, 1.0], [1.0, np.nan]])
     def test_tolerances_must_be_finite(self, toy, bad):

@@ -6,7 +6,8 @@ compares samplers' cost and effective sample size at a shared tolerance,
 run.  ``--seed``/``--workers``/``--out`` override the config file.
 
 Exit codes: 0 success, 2 configuration error, 3 runtime failure (with
-``.partial`` artifacts preserved where applicable).
+``.partial`` artifacts preserved where applicable).  ``run`` prints the
+paths of the artifacts it wrote, one a line, also when it fails.
 """
 
 from __future__ import annotations
@@ -83,6 +84,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as exc:
+        for path in getattr(exc, "paths", ()):
+            print(path)
         print(f"run failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

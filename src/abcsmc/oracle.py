@@ -54,7 +54,6 @@ class _Table:
     halfwidth: float
     grid: np.ndarray
     norm_const: float  # trapezoid integral of the unnormalized pdf
-    pdf: np.ndarray  # normalized
     cdf: np.ndarray
     mean: float
     variance: float
@@ -74,7 +73,7 @@ def _table(halfwidth: float, epsilon: float) -> _Table:
     cdf = cdf / cdf[-1]  # absorb the last-digit quadrature residue
     mean = float(np.trapezoid(grid * pdf, grid))
     variance = float(np.trapezoid((grid - mean) ** 2 * pdf, grid))
-    return _Table(halfwidth, grid, norm_const, pdf, cdf, mean, variance)
+    return _Table(halfwidth, grid, norm_const, cdf, mean, variance)
 
 
 def toy_posterior_pdf(theta, halfwidth: float = 10.0):

@@ -114,7 +114,6 @@ class RngKey:
 _U64 = np.uint64
 _LO32 = _U64(0xFFFFFFFF)
 _SHIFT32 = _U64(32)
-_SHIFT8 = _U64(8)
 _SHIFT9 = _U64(9)
 _SHIFT11 = _U64(11)
 _SHIFT55 = _U64(55)
@@ -123,9 +122,6 @@ _LO8 = _U64(0xFF)
 _LO52 = _U64(0x000FFFFFFFFFFFFF)
 _ZIG_KI = np.array(_ziggurat.KI, dtype=np.uint64)
 _ZIG_WI = np.array(_ziggurat.WI, dtype=np.float64)
-_ZIG_FI = np.array(_ziggurat.FI, dtype=np.float64)
-# FI[idx - 1] - FI[idx] of the wedge test, for idx >= 1
-_ZIG_FD = np.append(0.0, _ZIG_FI[:-1] - _ZIG_FI[1:])
 # Philox4x64 round multipliers and Weyl key increments, as (ctr 0, ctr 2)
 # and (key 0, key 1) columns
 _PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
@@ -204,28 +200,58 @@ def philox_words(keys: np.ndarray, k: int) -> np.ndarray:
     return words[:, :k]
 
 
-def _libm(fn, x: np.ndarray) -> np.ndarray:
-    """``fn`` (a ``math`` function, so the C library's) of every element.
-    numpy's C ziggurat calls libm; numpy's own ufunc loops may round
-    differently, and a last-bit difference can flip an accept test."""
-    return np.array([fn(v) for v in x.tolist()], dtype=np.float64)
-
-
 def _doubles(w: np.ndarray) -> np.ndarray:
     """numpy's ``next_double`` of raw words: ``(w >> 11) * 2**-53``."""
     return (w >> _SHIFT11).astype(np.float64) * 2.0**-53
 
 
 def _first_word_normals(w: np.ndarray):
-    """The ziggurat's first step on raw words: the strip, the 52-bit
-    magnitude, the signed candidate ``x`` and whether ``x`` is the normal
-    (``rabs < KI[idx]``, the one-word path)."""
+    """The ziggurat's first step on raw words: the signed candidate ``x``
+    and whether ``x`` is the normal (``rabs < KI[idx]``, the one-word
+    path)."""
     idx = (w & _LO8).astype(np.intp)
     rabs = (w >> _SHIFT9) & _LO52
     x = rabs.astype(np.float64) * _ZIG_WI[idx]
     # x >= 0, so moving the word's sign bit onto x's negates x like -x
     x.view(np.uint64)[...] |= (w << _SHIFT55) & _SIGN64
-    return idx, rabs, x, rabs < _ZIG_KI[idx]
+    return x, rabs < _ZIG_KI[idx]
+
+
+def _normal(words: list[int], pos: int) -> tuple[float, int]:
+    """numpy's ``random_standard_normal`` on the raw words of one stream
+    from word ``pos`` on: the normal, and the position after it.
+
+    A line-for-line transliteration of numpy's C code on Python ints and
+    floats, whose ``math.exp`` and ``math.log1p`` are the C library's, as
+    numpy's are.  A word off the one-word path reads a uniform ``u``.  In
+    strip ``idx > 0`` it keeps ``x`` when ``(FI[idx-1] - FI[idx]) * u +
+    FI[idx] < exp(-x*x/2)`` and starts over otherwise; in strip 0 it
+    samples the tail beyond ``R``, with ``u`` as the first uniform.
+    Raises IndexError if the normal reads past ``words``.
+    """
+    while True:
+        r = words[pos]
+        idx = r & 0xFF
+        r >>= 8
+        rabs = (r >> 1) & 0x000FFFFFFFFFFFFF
+        x = rabs * _ziggurat.WI[idx]
+        if r & 1:
+            x = -x
+        if rabs < _ziggurat.KI[idx]:
+            return x, pos + 1
+        if idx == 0:
+            while True:
+                xx = -_ziggurat.INV_R * math.log1p(-(words[pos + 1] >> 11) * 2.0**-53)
+                yy = -math.log1p(-(words[pos + 2] >> 11) * 2.0**-53)
+                pos += 2
+                if yy + yy > xx * xx:
+                    xx = _ziggurat.R + xx
+                    return (-xx if (rabs >> 8) & 1 else xx), pos + 1
+        fi = _ziggurat.FI
+        u = (words[pos + 1] >> 11) * 2.0**-53
+        pos += 2
+        if (fi[idx - 1] - fi[idx]) * u + fi[idx] < math.exp(-0.5 * x * x):
+            return x, pos
 
 
 # words computed beyond a stage's own for each slot whose normals may
@@ -258,10 +284,8 @@ class _StageWords:
             else philox_words(keys[slow], first.shape[1] + _MORE_WORDS)
         )
 
-    def read(self, slots: np.ndarray, pos: np.ndarray) -> np.ndarray:
-        """Word ``pos`` of the streams of ``slots`` (arrays of one shape);
-        every slot must have ``far`` words."""
-        need = int(pos.max(initial=-1)) + 1
+    def _grow(self, need: int) -> None:
+        """Make ``far`` hold at least ``need`` words per slot."""
         if need > self.far.shape[1]:
             if self.keys is None:
                 raise ValueError(
@@ -269,7 +293,18 @@ class _StageWords:
                     f"a draw needed word {need}"
                 )
             self.far = philox_words(self.keys[self.far_slots], need + _MORE_WORDS)
+
+    def read(self, slots: np.ndarray, pos: np.ndarray) -> np.ndarray:
+        """Word ``pos`` of the streams of ``slots`` (arrays of one shape);
+        every slot must have ``far`` words."""
+        self._grow(int(pos.max(initial=-1)) + 1)
         return self.far[self.far_row[slots], pos]
+
+    def lists(self, slots, need: int = 0) -> list:
+        """The ``far`` words of ``slots`` (an index array, or one index) as
+        lists of Python ints, at least ``need`` of them per slot."""
+        self._grow(need)
+        return self.far[self.far_row[slots]].tolist()
 
 
 class SlotStreams:
@@ -280,14 +315,17 @@ class SlotStreams:
     draw the slots will make.  Each draw returns, per slot, the value that
     slot's ``np.random.Generator(np.random.Philox(key))`` would return for
     the same draw: ``random`` as numpy's ``(w >> 11) * 2**-53``, and
-    ``standard_normal`` as numpy's whole ziggurat.  About 1.5 % of normals
-    read more than one word; each slot keeps its own word cursor, so such
-    a slot's later draws read its later words, which come from
-    :func:`philox_words` on its key.  Without ``keys`` a slot may read
-    only its row of ``words``, and a draw that needs more raises
-    ValueError.  A block makes at most as many draws as ``words`` has
-    columns; ``size=k`` counts as k draws and returns shape (m, k), like
-    the Generator's ``size``.
+    ``standard_normal`` as numpy's whole ziggurat.  Normals are decoded on
+    whole arrays from one word each; about 1.5 % of them leave that
+    one-word path, and from a slot's first such normal on, its normals
+    of the call are replayed one at a time by :func:`_normal`, numpy's C
+    code in Python.  Each slot keeps its own word cursor, so a slot that
+    read more than one word for a normal reads its later words for its
+    later draws; they come from :func:`philox_words` on its key.  Without
+    ``keys`` a slot may read only its row of ``words``, and a draw that
+    needs more raises ValueError.  A block makes at most as many draws as
+    ``words`` has columns; ``size=k`` counts as k draws and returns shape
+    (m, k), like the Generator's ``size``.
     """
 
     def __init__(self, words: np.ndarray, keys: np.ndarray | None = None) -> None:
@@ -344,91 +382,34 @@ class SlotStreams:
 
     def standard_normal(self, size: int | None = None) -> np.ndarray:
         k = 1 if size is None else size
-        first = _first_word_normals(self._take(k))
-        x, fast = first[2], first[3]
+        x, fast = _first_word_normals(self._take(k))
         if not fast.all():
             # from a slot's first normal off the one-word path on, its
-            # normals are drawn whole from its own words, a column at a time
+            # normals are replayed one at a time from its own words
             slots = np.flatnonzero(~fast.all(axis=1))
             col = np.argmin(fast[slots], axis=1)
             pos = self._draws - k + self._lag[slots] + col
             stage = self._stage_slots(slots)
-            first = tuple(a[slots, col] for a in first)
-            live = np.arange(len(slots))
-            while True:
-                x[slots[live], col[live]], pos[live] = self._normals(
-                    stage[live], pos[live], first
-                )
-                col[live] += 1
-                live = live[col[live] < k]
-                if not live.size:
-                    break
-                first = _first_word_normals(self._src.read(stage[live], pos[live]))
-            self._lag[slots] = pos - self._draws
+            out, end = [], []
+            for w, s, c, p in zip(
+                self._src.lists(stage), stage.tolist(), col.tolist(), pos.tolist()
+            ):
+                for _ in range(c, k):
+                    while True:
+                        try:
+                            v, p = _normal(w, p)
+                            break
+                        except IndexError:
+                            # past the slot's far words: regrow them, and
+                            # replay the normal from its start at p
+                            w = self._src.lists(s, len(w) + 1)
+                    out.append(v)
+                end.append(p)
+            rows, cols = np.nonzero(np.arange(k) >= col[:, None])
+            x[slots[rows], cols] = out
+            self._lag[slots] = np.array(end) - self._draws
             self._behind = np.flatnonzero(self._lag)
         return x[:, 0] if size is None else x
-
-    def _normals(self, stage: np.ndarray, pos: np.ndarray, first):
-        """numpy's ``random_standard_normal`` on the streams of the
-        ``stage`` slots, whose words at ``pos`` are ``first``, decoded by
-        :func:`_first_word_normals`: the normals, and the position after
-        each.
-
-        A word off the one-word path reads a uniform ``u``.  In strip
-        ``idx > 0`` it keeps ``x`` when ``(FI[idx-1] - FI[idx]) * u +
-        FI[idx] < exp(-x*x/2)`` and starts over otherwise; in strip 0 it
-        samples the tail beyond ``R``, with ``u`` as the first uniform.
-        """
-        out = np.empty(len(stage))
-        todo = np.arange(len(stage))
-        idx, rabs, x, fast = first
-        while True:
-            if fast.any():
-                pos[todo[fast]] += 1
-                out[todo[fast]] = x[fast]
-                slow = ~fast
-                todo, idx, rabs, x = todo[slow], idx[slow], rabs[slow], x[slow]
-                if not todo.size:
-                    return out, pos
-            pos[todo] += 2  # the word and its uniform
-            u = _doubles(self._src.read(stage[todo], pos[todo] - 1))
-            keep = _ZIG_FD[idx] * u + _ZIG_FI[idx] < _libm(math.exp, -0.5 * x * x)
-            done = keep
-            tail = idx == 0
-            if tail.any():
-                keep = keep & ~tail
-                done = keep | tail
-                neg = ((rabs[tail] >> _SHIFT8) & _U64(1)).astype(bool)
-                xx = self._tail(stage, pos, todo[tail], u[tail])
-                out[todo[tail]] = np.where(neg, -(_ziggurat.R + xx), _ziggurat.R + xx)
-            out[todo[keep]] = x[keep]
-            todo = todo[~done]
-            if not todo.size:
-                return out, pos
-            w = self._src.read(stage[todo], pos[todo])
-            idx, rabs, x, fast = _first_word_normals(w)
-
-    def _tail(self, stage, pos, rows, u1) -> np.ndarray:
-        """The ziggurat's tail beyond ``R`` for ``rows`` of ``stage``,
-        whose first uniforms ``u1`` are read and whose words stand at
-        ``pos``: pairs ``xx = -log1p(-u1) / R``, ``yy = -log1p(-u2)``
-        until ``2 * yy > xx * xx``; returns ``xx``."""
-        xx = np.empty(len(rows))
-        wait = np.arange(len(rows))
-        while True:
-            j = rows[wait]
-            u2 = _doubles(self._src.read(stage[j], pos[j]))
-            pos[j] += 1
-            xt = -_ziggurat.INV_R * _libm(math.log1p, -u1)
-            yt = -_libm(math.log1p, -u2)
-            done = yt + yt > xt * xt
-            xx[wait[done]] = xt[done]
-            wait = wait[~done]
-            if not wait.size:
-                return xx
-            j = rows[wait]
-            u1 = _doubles(self._src.read(stage[j], pos[j]))
-            pos[j] += 1
 
 
 class StreamCursor:

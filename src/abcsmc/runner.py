@@ -237,7 +237,8 @@ def run_experiment(cfg: RunConfig, out_dir: str | None = None) -> ExperimentOutp
     replicate fails, completed replicates keep their normal artifacts,
     the failing ones get ``trace_<r>.json.partial`` files carrying the
     error, the summary is written as ``summary.csv.partial``, and the
-    first error is re-raised.
+    first error is re-raised with the written paths, in write order, as
+    its ``paths`` attribute.
     """
     out = out_dir if out_dir is not None else cfg.out_dir
     os.makedirs(out, exist_ok=True)
@@ -281,7 +282,9 @@ def run_experiment(cfg: RunConfig, out_dir: str | None = None) -> ExperimentOutp
     paths.append(summary_path)
 
     if failures:
-        raise failures[0][1]
+        exc = failures[0][1]
+        exc.paths = paths
+        raise exc
     return ExperimentOutput(results, paths)
 
 

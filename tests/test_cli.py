@@ -70,9 +70,12 @@ def test_runtime_error_exit(tmp_path, capsys):
     out = tmp_path / "partial"
     code = main(["run", str(cfg), "--out", str(out)])
     assert code == EXIT_RUNTIME
-    assert "run failed: ScheduleInfeasibleError" in capsys.readouterr().err
-    assert (out / "trace_1.json.partial").exists()
-    assert (out / "summary.csv.partial").exists()
+    printed = capsys.readouterr()
+    assert "run failed: ScheduleInfeasibleError" in printed.err
+    # the preserved artifacts are listed in write order, and nothing else
+    written = [str(out / "trace_1.json.partial"), str(out / "summary.csv.partial")]
+    assert printed.out.splitlines() == written
+    assert sorted(os.listdir(out)) == sorted(os.path.basename(p) for p in written)
 
 
 def test_seed_env_override(cfg_file, tmp_path, monkeypatch, capsys):

@@ -1,6 +1,6 @@
 """The public surface: every exported name exists, and so does every
 name the benchmark's span tracer patches; importing the package stays
-light."""
+light; no module keeps an import or a private name that nothing reads."""
 
 from __future__ import annotations
 
@@ -14,7 +14,8 @@ from pathlib import Path
 
 import abcsmc
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
 PACKAGE = Path(abcsmc.__file__).resolve().parent
 
 
@@ -89,3 +90,62 @@ def test_modules_use_what_they_import():
 def test_unused_import_check_flags_a_stray_name():
     source = "import json\nimport numpy as np\nfrom .x import A, B\n\ndef f(a: 'A'):\n    return np\n"
     assert _unused_imports(source) == ["json (line 1)", "B (line 3)"]
+
+
+def _private_definitions(source: str) -> dict[str, int]:
+    """Private module-level names a module defines by ``def``, ``class`` or
+    assignment, with their lines."""
+    defined = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                defined.setdefault(name, node.lineno)
+    return defined
+
+
+def _read_names(source: str) -> set[str]:
+    """Names a module reads: loaded names and attributes, imported names,
+    and strings that are identifiers, such as monkeypatch targets."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        elif isinstance(node, ast.alias):
+            read.add(node.name.rsplit(".", 1)[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                read.add(node.value)
+    return read
+
+
+def test_private_names_are_read():
+    # a helper or constant left behind by a refactor shows up here
+    sources = {
+        path: path.read_text(encoding="utf-8")
+        for top in (PACKAGE, ROOT / "tests", ROOT / "perfbench")
+        for path in sorted(top.rglob("*.py"))
+    }
+    read = set().union(*map(_read_names, sources.values()))
+    unread = [
+        f"{path.name}: {name} (line {line})"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name, line in _private_definitions(sources[path]).items()
+        if name not in read
+    ]
+    assert unread == []
+
+
+def test_private_name_check_flags_an_unread_name():
+    source = "_A = 1\n_B: int = _A\ndef _f():\n    pass\nclass _C:\n    pass\n__all__ = []\n"
+    assert _private_definitions(source) == {"_A": 1, "_B": 2, "_f": 3, "_C": 5}
+    read = _read_names(source + "m._f()\nsetattr(m, '_C', 0)\nm._B = 2\n")
+    assert [name for name in _private_definitions(source) if name not in read] == ["_B"]

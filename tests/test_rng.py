@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from abcsmc import RngKey, StreamCursor
-from abcsmc import _ziggurat
+from abcsmc import _ziggurat, rng as rng_module
 from abcsmc.rng import SlotStreams, philox_words
 from conftest import one_word
 
@@ -143,6 +143,36 @@ def test_slot_streams_reproduce_generators():
     )
     assert np.count_nonzero(np.abs(normals) > _ziggurat.R) > 50
     assert 0.1 < np.count_nonzero(rng._lag) / m < 0.9
+
+
+def test_slot_streams_regrow_their_far_words(monkeypatch):
+    # with no spare far words, a slot whose normals read past its words
+    # regrows them; a normal that runs past them inside its replay is
+    # replayed from its start on the regrown words
+    monkeypatch.setattr(rng_module, "_MORE_WORDS", 0)
+    past = []
+    normal = rng_module._normal
+
+    def counted(words, pos):
+        try:
+            return normal(words, pos)
+        except IndexError:
+            past.append(pos)
+            raise
+
+    monkeypatch.setattr(rng_module, "_normal", counted)
+    m = 3000
+    keys = RngKey(35).slot_keys(m)
+    # no slot is behind before the normals, so no read has regrown the
+    # words when the normals run past them
+    calls = [("random", 2), ("standard_normal", 6), ("random", None)]
+    rng = SlotStreams(philox_words(keys, sum(k or 1 for _, k in calls)), keys)
+    got = [getattr(rng, f)(k) for f, k in calls]
+    for i in range(m):
+        g = np.random.Generator(np.random.Philox(key=keys[i]))
+        for (f, k), block in zip(calls, got):
+            assert np.array_equal(getattr(g, f)(k), block[i]), (i, f, k)
+    assert len(past) > 50 and np.count_nonzero(rng._lag) > 200
 
 
 def test_slot_streams_rows_keep_each_slots_cursor():

@@ -196,8 +196,8 @@ class TestRunExperiment:
         ]
 
     def test_one_failing_replicate(self, tmp_path, monkeypatch):
-        # A failing run raises instead of returning its path list, so the
-        # order the list is built in is read off the order of the writes.
+        # A failing run raises instead of returning, and the error carries
+        # the path list, which follows the order of the writes.
         cfg = _sc_cfg(replicates=3, workers=2)
         real = runner.run_replicate
 
@@ -216,7 +216,7 @@ class TestRunExperiment:
 
         monkeypatch.setattr(runner, "run_replicate", flaky)
         monkeypatch.setattr(runner, "open", recording_open, raising=False)
-        with pytest.raises(BudgetExceededError, match="cap hit"):
+        with pytest.raises(BudgetExceededError, match="cap hit") as raised:
             run_experiment(cfg, str(tmp_path))
         assert written == [
             "particles_1.csv",
@@ -226,6 +226,7 @@ class TestRunExperiment:
             "trace_2.json.partial",
             "summary.csv.partial",
         ]
+        assert raised.value.paths == [str(tmp_path / name) for name in written]
         payload = {
             "config": cfg.to_dict(),
             "error": {"type": "BudgetExceededError", "message": "cap hit"},

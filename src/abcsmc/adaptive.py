@@ -286,6 +286,14 @@ def calibrate_alpha(
     slots in one block.  Every slot below the stop is proposed either
     way, on its own stream, so the result and the simulations spent are
     those of the point-by-point walk.
+
+    Ties: the survivors are the first ``hi`` slots of ``sorted_array``,
+    whatever the distances beyond them.  A particle tied with ``eps`` at
+    a sort position of ``hi`` or later is dropped although it lies
+    within ``eps``, so among tied particles the sort position decides.
+    :meth:`ParticleArray.sorted_by_dist` is stable, and an iteration's
+    output puts its survivor block first, so ties keep the older
+    survivor slots.
     """
     n = len(sorted_array)
     if n < 2:

@@ -1,13 +1,15 @@
-"""Reference-oracle checks: frozen golden values, self-consistency, and an
-independent integration route that must agree with the closed forms."""
+"""Reference-oracle checks: frozen golden values, self-consistency, an
+independent integration route that must agree with the closed forms, and
+the oracle's own normal CDF pinned bit for bit to scipy's."""
 
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from abcsmc import oracle
 
@@ -165,3 +167,87 @@ class TestAcceptProbability:
             oracle.toy_accept_prob(0.1, 0.0)
         with pytest.raises(ValueError):
             oracle.toy_accept_prob(0.1, math.inf)
+
+    def test_nan_epsilon_is_a_domain_error(self):
+        with pytest.raises(ValueError, match="NaN"):
+            oracle.toy_accept_prob(math.nan, 10.0)
+
+    def test_infinite_epsilon_accepts_everything(self):
+        # the limit of the closed form, without its inf - inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert oracle.toy_accept_prob(math.inf, 10.0) == 1.0
+            assert oracle.toy_accept_prob(math.inf, 0.1) == 1.0
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+class TestCephesNdtr:
+    """``oracle._ndtr`` is Cephes' ndtr.c on Python floats; it must equal
+    ``scipy.special.ndtr`` bit for bit, so that no gain digit moves."""
+
+    @staticmethod
+    def points() -> np.ndarray:
+        rng = np.random.default_rng(20240611)
+        return np.concatenate([
+            rng.uniform(-40.0, 40.0, 60_000),
+            rng.normal(0.0, 3.0, 30_000),
+            rng.uniform(-1.5, 1.5, 10_000),  # erf branch and its edge at |a| = 1
+            np.linspace(-12.0, 12.0, 4_001),  # erfc's P/Q to R/S switch at |a| = 8*sqrt(2)
+            np.linspace(-39.0, -37.0, 2_001),  # subnormal results, then underflow to 0
+            [0.0, -0.0, 1.0, -1.0, 8.0 * math.sqrt(2.0), 38.5, -38.5, -40.0,
+             math.inf, -math.inf],
+        ])
+
+    def test_ndtr_is_scipys_bit_for_bit(self):
+        x = self.points()
+        assert len(x) >= 100_000
+        ours = [oracle._ndtr(v) for v in x.tolist()]
+        assert np.array_equal(_bits(ours), _bits(special.ndtr(x)))
+        # every branch was reached: both signs of both erfc ranges, the erf
+        # branch, underflow to exactly 0 and 1, and the subnormal range
+        scaled = np.abs(x) / math.sqrt(2.0)
+        assert np.any(scaled < math.sqrt(0.5))
+        assert np.any((scaled >= 1.0) & (scaled < 8.0) & (x < 0))
+        assert np.any((scaled >= 8.0) & (x < 0) & (special.ndtr(x) > 0))
+        assert np.any(scaled * scaled > 7.09782712893383996843e2)
+        assert np.count_nonzero(np.array(ours) == 0.0) > 1
+        assert np.any((np.array(ours) > 0) & (np.array(ours) < np.finfo(float).tiny))
+
+    def test_erf_and_erfc_are_scipys_bit_for_bit(self):
+        # also the branches ndtr never takes: erf above 1, erfc below 1
+        x = np.concatenate([np.linspace(-30.0, 30.0, 60_001), [0.0, -0.0, math.inf, -math.inf]])
+        for ours, theirs in ((oracle._erf, special.erf), (oracle._erfc, special.erfc)):
+            got = [ours(v) for v in x.tolist()]
+            assert np.array_equal(_bits(got), _bits(theirs(x))), ours.__name__
+
+    def test_nan_gives_nan(self):
+        for f in (oracle._ndtr, oracle._erf, oracle._erfc):
+            assert math.isnan(f(math.nan))
+
+    def test_tolerance_likelihood_is_scipys_bit_for_bit(self):
+        # the array path of the quadrature tables at a tolerance
+        theta = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
+        reference = sum(
+            special.ndtr((0.09 - theta) / s) - special.ndtr((-0.09 - theta) / s)
+            for s in oracle.NOISE_SCALES
+        )
+        got = oracle._unnormalized_pdf(theta, 0.09)
+        assert got.shape == theta.shape
+        assert np.array_equal(_bits(got), _bits(reference))
+
+    def test_accept_prob_equals_a_scipy_ndtr_reference(self, monkeypatch):
+        # the closed form with scipy's ndtr in place of ours; the runner's
+        # gain is computed from these values, so they must match exactly
+        grid = [
+            (float(eps), halfwidth)
+            for eps in np.geomspace(1e-6, 50.0, 120)
+            for halfwidth in (0.05, 0.1, 1.0, 2.5, 10.0, 37.0, 100.0)
+        ]
+        ours = [oracle.toy_accept_prob(eps, hw) for eps, hw in grid]
+        monkeypatch.setattr(oracle, "_ndtr", lambda u: float(special.ndtr(u)))
+        reference = [oracle.toy_accept_prob(eps, hw) for eps, hw in grid]
+        assert np.array_equal(_bits(ours), _bits(reference))
+        assert len(set(ours)) > 100

@@ -5,17 +5,18 @@ Two independent routes to the truth live here:
 * the exact posterior of the toy model's parameter given an observation
   of 0 (quantiles also of the ABC posterior given ``|z| <= epsilon``),
   by composite-trapezoid quadrature on a fixed grid (100 000 nodes over
-  the prior support), with quantiles from bisecting the CDF to 1e-8;
+  the prior support), with quantiles as the exact inverse of that
+  piecewise-linear CDF;
 * the prior-predictive probability that a simulated summary lands
   within distance ``epsilon`` of the observation, in closed form from
   the normal CDF (the antiderivative of ``Phi`` is ``x*Phi(x)+phi(x)``).
 
 Samplers are validated against these values; nothing in this module
-ever calls a simulator.  The runner's gain factors use the closed form,
-so it needs only numpy and the normal CDF ``_ndtr``, which is a
-transliteration of ``ndtr.c`` from the Cephes Math Library (S. L.
-Moshier), the code ``scipy.special.ndtr`` runs, and equal to it bit for
-bit.  The quadrature tables and quantiles import scipy when first used.
+ever calls a simulator.  Everything here runs on numpy alone.  The
+normal CDF ``_ndtr`` is a transliteration of ``ndtr.c`` from the Cephes
+Math Library (S. L. Moshier), the code ``scipy.special.ndtr`` runs, and
+equal to it bit for bit; the CDF table is the cumulative trapezoid sum
+that ``scipy.integrate.cumulative_trapezoid`` evaluates.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from functools import lru_cache
 import numpy as np
 
 QUAD_NODES = 100_000
-QUANTILE_XTOL = 1e-8
 # the toy noise is an equal mixture of normals with these scales
 NOISE_SCALES = (1.0, 0.1)
 
@@ -182,8 +182,6 @@ class _Table:
 
 @lru_cache(maxsize=8)
 def _table(halfwidth: float, epsilon: float) -> _Table:
-    from scipy.integrate import cumulative_trapezoid
-
     if not (halfwidth > 0 and math.isfinite(halfwidth)):
         raise ValueError("halfwidth must be positive and finite")
     if not (epsilon >= 0 and math.isfinite(epsilon)):
@@ -192,7 +190,7 @@ def _table(halfwidth: float, epsilon: float) -> _Table:
     raw = _unnormalized_pdf(grid, epsilon)
     norm_const = np.trapezoid(raw, grid)
     pdf = raw / norm_const
-    cdf = cumulative_trapezoid(pdf, grid, initial=0.0)
+    cdf = np.concatenate(([0.0], np.cumsum(np.diff(grid) * (pdf[1:] + pdf[:-1]) / 2.0)))
     cdf = cdf / cdf[-1]  # absorb the last-digit quadrature residue
     mean = float(np.trapezoid(grid * pdf, grid))
     variance = float(np.trapezoid((grid - mean) ** 2 * pdf, grid))
@@ -222,14 +220,8 @@ def toy_posterior_quantile(
     tolerance, the target of rejection at ``epsilon``, instead of the exact one."""
     if not 0.0 < p < 1.0:
         raise ValueError("quantile level must be in (0, 1)")
-    from scipy.optimize import bisect
-
     tab = _table(float(halfwidth), float(epsilon))
-
-    def f(q):
-        return np.interp(q, tab.grid, tab.cdf) - p
-
-    return float(bisect(f, -tab.halfwidth, tab.halfwidth, xtol=QUANTILE_XTOL))
+    return float(np.interp(p, tab.cdf, tab.grid))
 
 
 def toy_posterior_functional(name: str, halfwidth: float = 10.0) -> float:

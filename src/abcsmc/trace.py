@@ -78,9 +78,3 @@ class RunTrace:
         d = asdict(self)
         d["iterations"] = [r.to_dict() for r in self.iterations]
         return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunTrace":
-        d = dict(d)
-        d["iterations"] = [IterationRecord(**r) for r in d.get("iterations", [])]
-        return cls(**d)

@@ -9,13 +9,14 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy import integrate, special, stats
+from scipy import integrate, optimize, special, stats
 
 from abcsmc import oracle
 
 # Golden values frozen from the oracle before any sampler was built; the
 # cross-check tests below tie them to an independent quadrature route.
-Q3_GOLDEN = 0.15436355955898762
+# Q3_GOLDEN is the exact inverse of the oracle's CDF table at 0.75.
+Q3_GOLDEN = 0.15436356170682058
 Q3_EPS_009 = 0.16907  # ABC posterior at tolerance 0.09, halfwidth 10
 VARIANCE_GOLDEN = 0.505
 ACCEPT_PROB_GOLDEN = 0.009  # tolerance 0.09, prior halfwidth 10
@@ -53,7 +54,8 @@ class TestFunctionals:
         assert oracle.toy_posterior_functional("mean") == pytest.approx(0.0, abs=1e-9)
 
     def test_median_is_zero(self):
-        # quantiles are bisections to 1e-8
+        # quantiles invert the trapezoid CDF table exactly; its round-off
+        # leaves the median about 1e-14 off 0
         assert oracle.toy_posterior_functional("median") == pytest.approx(0.0, abs=2e-8)
 
     def test_quartiles_frozen_and_symmetric(self):
@@ -115,6 +117,21 @@ class TestFunctionals:
         exact = oracle.toy_posterior_quantile(0.75, epsilon=0.0)
         assert exact == oracle.toy_posterior_quantile(0.75)
         assert exact == pytest.approx(Q3_GOLDEN, abs=1e-10)
+
+    @pytest.mark.parametrize(
+        "halfwidth, epsilon", [(0.1, 0.0), (10.0, 0.0), (10.0, 0.09), (100.0, 0.09)]
+    )
+    def test_quantile_inverts_the_cdf_table(self, halfwidth, epsilon):
+        # the quantile is the exact root of the table's piecewise-linear CDF,
+        # and within bisection's 1e-8 of the root bisection finds
+        tab = oracle._table(halfwidth, epsilon)
+        for p in (1e-9, 1e-6, 0.25, 0.5, 0.75, 1 - 1e-6, 1 - 1e-9):
+            q = oracle.toy_posterior_quantile(p, halfwidth, epsilon)
+            assert np.interp(q, tab.grid, tab.cdf) == pytest.approx(p, abs=1e-12)
+            bisected = optimize.bisect(
+                lambda x: np.interp(x, tab.grid, tab.cdf) - p, -halfwidth, halfwidth, xtol=1e-8
+            )
+            assert q == pytest.approx(bisected, abs=1e-8)
 
     def test_unknown_functional_rejected(self):
         with pytest.raises(ValueError):

@@ -39,8 +39,24 @@ def _fresh_interpreter(code: str, cwd: Path | None = None) -> str:
 
 def test_import_leaves_out_scipy():
     # scipy's special, integrate and optimize took about 0.5 s of a 0.7 s
-    # import; only the oracle's quadrature tables and quantiles need them
+    # import; the library needs none of them
     assert _fresh_interpreter(f"import sys, abcsmc; print({SCIPY_LOADED})") == "[]"
+
+
+def test_oracle_leaves_out_scipy():
+    # the quadrature tables and quantiles run on numpy alone, so
+    # perfbench's checker and the reports pay no scipy import either
+    code = (
+        "import sys\n"
+        "from abcsmc import oracle\n"
+        "oracle.toy_posterior_quantile(0.5)\n"
+        "oracle.toy_posterior_quantile(0.75, epsilon=0.09)\n"
+        "oracle.toy_posterior_cdf(0.1)\n"
+        "oracle.toy_posterior_pdf(0.1)\n"
+        "oracle.toy_posterior_functional('variance')\n"
+        f"print({SCIPY_LOADED})\n"
+    )
+    assert _fresh_interpreter(code) == "[]"
 
 
 def test_cli_run_leaves_out_scipy(tmp_path):

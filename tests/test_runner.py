@@ -15,7 +15,6 @@ from abcsmc import (
     ConfigError,
     ParticleArray,
     RunConfig,
-    RunTrace,
     ScheduleInfeasibleError,
     gain_curve,
     gain_factor,
@@ -66,7 +65,7 @@ def curve(tmp_path_factory):
     out = tmp_path_factory.mktemp("curve")
     cfg = _sc_cfg(n=500, replicates=1, seed=31)
     path = gain_curve(cfg, str(out))
-    trace = RunTrace.from_dict(json.loads(_read(str(out / "trace_1.json"))))
+    trace = json.loads(_read(str(out / "trace_1.json")))
     rows = [line.split(",") for line in _read(path).strip().splitlines()]
     return cfg, trace, rows[0], rows[1:]
 
@@ -85,10 +84,7 @@ def table1_run(tmp_path_factory):
 
 
 def _traces(out, replicates):
-    return [
-        RunTrace.from_dict(json.loads(_read(str(out / f"trace_{r}.json"))))
-        for r in range(1, replicates + 1)
-    ]
+    return [json.loads(_read(str(out / f"trace_{r}.json"))) for r in range(1, replicates + 1)]
 
 
 class TestRunExperiment:
@@ -132,8 +128,7 @@ class TestRunExperiment:
     def test_trace_json_round_trip(self, sc_run):
         _, out, output = sc_run
         payload = json.loads(_read(str(out / "trace_2.json")))
-        rebuilt = RunTrace.from_dict(payload)
-        assert rebuilt.to_dict() == output.results[1].trace.to_dict()
+        assert payload == output.results[1].trace.to_dict()
         assert payload["config"]["replicate"] == 2
         assert payload["config"]["seed"] == 5
 
@@ -250,18 +245,19 @@ class TestExactText:
         lines = _read(str(out / "summary.csv")).splitlines()
         assert len(lines) == len(output.results) + 1
         for res, trace, line in zip(output.results, _traces(out, 2), lines[1:]):
+            total_sims = trace["sim_counts"]["total"]
             values = [
                 res.replicate,
-                trace.total_sims,
-                trace.final_epsilon,
-                trace.final_ess,
-                trace.gain,
-                len(trace.iterations),
+                total_sims,
+                trace["final_epsilon"],
+                trace["final_ess"],
+                trace["gain"],
+                len(trace["iterations"]),
                 res.wall_ms,
             ]
             assert line == ",".join(_fmt(v) for v in values)
             fields = line.split(",")
-            assert fields[1] == str(trace.total_sims) and fields[5] == str(len(trace.iterations))
+            assert fields[1] == str(total_sims) and fields[5] == str(len(trace["iterations"]))
 
     def test_table1_rows(self, table1_run):
         cfgs, out, path = table1_run
@@ -270,30 +266,30 @@ class TestExactText:
         assert len(lines) == len(cfgs) + 1
         for i, (cfg, line) in enumerate(zip(cfgs, lines[1:]), start=1):
             traces = _traces(out / f"{i:02d}-{cfg.sampler}", cfg.replicates)
-            cost = float(np.mean([t.total_sims for t in traces]))
-            ess = float(np.mean([t.final_ess for t in traces]))
+            cost = float(np.mean([t["sim_counts"]["total"] for t in traces]))
+            ess = float(np.mean([t["final_ess"] for t in traces]))
             row = [cfg.sampler, _fmt(cfg.replicates), _fmt(cost), _fmt(ess)]
             assert line == ",".join(row)
         assert lines[1] == "reject,2,5000.0," + lines[1].rsplit(",", 1)[1]
 
     def test_gain_curve_rows(self, curve):
         cfg, trace, _, rows = curve
-        k = trace.init["batches_used"]
-        stop = trace.stop_iter if trace.stop_iter is not None else -1
+        k = trace["init"]["batches_used"]
+        stop = trace["stop_iter"] if trace["stop_iter"] is not None else -1
 
         def gain(ess, eps, cum):
             return gain_factor(cum, ess, toy_accept_prob(eps, cfg.prior_halfwidth))
 
         cum = k * cfg.n
-        eps0 = trace.init["epsilon0"]
+        eps0 = trace["init"]["epsilon0"]
         expected = [
-            [0, eps0, 1.0 / k, None, cum, gain(trace.init["ess"], eps0, cum), stop]
+            [0, eps0, 1.0 / k, None, cum, gain(trace["init"]["ess"], eps0, cum), stop]
         ]
-        for rec in trace.iterations:
-            cum = k * cfg.n + rec.t * cfg.n
+        for rec in trace["iterations"]:
+            cum = k * cfg.n + rec["t"] * cfg.n
             expected.append(
-                [rec.t, rec.epsilon, rec.alpha, rec.rho_hat, cum,
-                 gain(rec.ess, rec.epsilon, cum), stop]
+                [rec["t"], rec["epsilon"], rec["alpha"], rec["rho_hat"], cum,
+                 gain(rec["ess"], rec["epsilon"], cum), stop]
             )
         assert [",".join(row) for row in rows] == [
             ",".join(_fmt(v) for v in row) for row in expected
@@ -363,31 +359,31 @@ class TestGainCurve:
     def test_header_and_length(self, curve):
         _, trace, header, rows = curve
         assert header == ["iter", "eps", "alpha", "rho", "cumulative_sims", "gain", "stop_iter"]
-        assert len(rows) == len(trace.iterations) + 1
+        assert len(rows) == len(trace["iterations"]) + 1
 
     def test_initialization_row(self, curve):
         cfg, trace, _, rows = curve
-        k = trace.init["batches_used"]
+        k = trace["init"]["batches_used"]
         row0 = rows[0]
         assert row0[0] == "0"
-        assert float(row0[1]) == trace.init["epsilon0"]
+        assert float(row0[1]) == trace["init"]["epsilon0"]
         assert float(row0[2]) == pytest.approx(1.0 / k)
         assert row0[3] == "nan"
         assert int(row0[4]) == k * cfg.n
-        p0 = toy_accept_prob(trace.init["epsilon0"], 10.0)
-        expected = (trace.init["ess"] / p0) / (k * cfg.n)
+        p0 = toy_accept_prob(trace["init"]["epsilon0"], 10.0)
+        expected = (trace["init"]["ess"] / p0) / (k * cfg.n)
         assert float(row0[5]) == pytest.approx(expected, rel=1e-12)
 
     def test_iteration_rows_track_trace(self, curve):
         cfg, trace, _, rows = curve
-        k = trace.init["batches_used"]
-        stop = trace.stop_iter if trace.stop_iter is not None else -1
-        for rec, row in zip(trace.iterations, rows[1:]):
-            assert int(row[0]) == rec.t
-            assert float(row[1]) == rec.epsilon
-            assert float(row[2]) == rec.alpha
-            assert float(row[3]) == rec.rho_hat
-            assert int(row[4]) == k * cfg.n + rec.t * cfg.n
+        k = trace["init"]["batches_used"]
+        stop = trace["stop_iter"] if trace["stop_iter"] is not None else -1
+        for rec, row in zip(trace["iterations"], rows[1:]):
+            assert int(row[0]) == rec["t"]
+            assert float(row[1]) == rec["epsilon"]
+            assert float(row[2]) == rec["alpha"]
+            assert float(row[3]) == rec["rho_hat"]
+            assert int(row[4]) == k * cfg.n + rec["t"] * cfg.n
             assert int(row[6]) == stop
 
     def test_requires_self_calibrated(self, tmp_path):

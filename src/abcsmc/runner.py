@@ -43,7 +43,7 @@ from .trace import RunTrace, SimCounter
 SUMMARY_HEADER = "replicate,total_sims,final_eps,ess,gain,iterations,wall_ms"
 GAIN_CURVE_HEADER = "iter,eps,alpha,rho,cumulative_sims,gain,stop_iter"
 TABLE1_HEADER = "sampler,replicates,cost,ess"
-_CSV_CHUNK = 1024  # particle rows formatted per pass
+_CSV_CHUNK = 1024  # particle rows per pass of write_particles_csv
 
 
 @dataclass
@@ -175,6 +175,14 @@ def _run_mcmc(
 
 
 def write_particles_csv(path: str, particles: ParticleArray) -> None:
+    """Write one line per particle: thetas, summaries, distance, weight.
+
+    A row whose bits equal those of the row before it shares that row's
+    line, which is formatted once.  Resampled copies carry their
+    source's distance and every sampler returns its output sorted by
+    distance (stably), so copies sit next to each other; a duplicate
+    that is not adjacent is simply formatted again.
+    """
     n = len(particles)
     p = particles.thetas.shape[1]
     d = particles.zs.shape[1]
@@ -187,13 +195,23 @@ def write_particles_csv(path: str, particles: ParticleArray) -> None:
     # round-trip repr of each value, as _fmt writes it
     tail = f",{_fmt(1.0 / n if n else 0.0)}\n"
     table = np.column_stack((particles.thetas, particles.zs, particles.dists))
+    # one opaque item per row, compared by its bytes, not as floats:
+    # 0.0 == -0.0 though they print differently, and nan != nan
+    items = table.view(np.dtype((np.void, table.itemsize * table.shape[1])))[:, 0]
+    new = np.ones(n, dtype=bool)
+    new[1:] = items[1:] != items[:-1]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
         # rows become Python floats a chunk at a time, which bounds the
-        # memory those objects take
+        # memory those objects take; line carries over, since a run of
+        # copies may cross into the next pass (new[0] is always set)
         for lo in range(0, n, _CSV_CHUNK):
-            rows = table[lo:lo + _CSV_CHUNK].tolist()
-            fh.writelines(",".join(map(repr, row)) + tail for row in rows)
+            fresh = new[lo:lo + _CSV_CHUNK]
+            rows = iter(table[lo:lo + _CSV_CHUNK][fresh].tolist())
+            for is_new in fresh.tolist():
+                if is_new:
+                    line = ",".join(map(repr, next(rows))) + tail
+                fh.write(line)
 
 
 def _write_csv(path: str, header: str, rows) -> None:

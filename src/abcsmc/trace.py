@@ -51,9 +51,6 @@ class IterationRecord:
     distinct_count: int
     ess: float
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class RunTrace:
@@ -75,6 +72,4 @@ class RunTrace:
         return self.sim_counts.get("total", 0)
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["iterations"] = [r.to_dict() for r in self.iterations]
-        return d
+        return asdict(self)

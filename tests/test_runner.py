@@ -434,3 +434,71 @@ def test_particles_csv_matches_rowwise_writer(tmp_path, monkeypatch, p):
     text = _read(str(tmp_path / "block.csv"))
     assert text == _read(str(tmp_path / "rows.csv"))
     assert "-0.0," in text and "5e-324" in text and "1e+300" in text
+
+
+def _runs(particles):
+    """Number of maximal runs of bit-identical adjacent rows."""
+    table = np.column_stack((particles.thetas, particles.zs, particles.dists))
+    bits = table.view(np.uint64)
+    return 1 + int(np.any(bits[1:] != bits[:-1], axis=1).sum()) if len(table) else 0
+
+
+def _columns(rows, p=1):
+    """A particle array from rows of (theta_1..p, z_1..p, dist)."""
+    table = np.array(rows, dtype=float).reshape(-1, 2 * p + 1)
+    return ParticleArray(table[:, :p], table[:, p:2 * p], table[:, 2 * p])
+
+
+_A, _B = [0.25, -1.5, 0.5], [1.0 / 3.0, 2.0, 0.75]
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "particles",
+    [
+        # a run of six copies from row 2 to row 7 spans passes 0 and 1
+        _columns([_B, _B] + [_A] * 6 + [_B]),
+        # a copy run that fills a whole pass, then a new row
+        _columns([_A] * 8 + [_B]),
+        # 0.0 right after -0.0 in the theta, the z and the dist column
+        _columns([[-0.0, 1.0, 2.0], [0.0, 1.0, 2.0]]),
+        _columns([[1.0, -0.0, 2.0], [1.0, 0.0, 2.0]]),
+        _columns([[1.0, 2.0, -0.0], [1.0, 2.0, 0.0], [1.0, 2.0, 0.0]]),
+        _columns([[_NAN, 1.0, _INF], [_NAN, 1.0, _INF], [-_INF, _NAN, _NAN]]),
+        # a duplicate that is not adjacent is formatted again
+        _columns([_A, _B, _A]),
+        _columns([[0.5, -0.5, 1e-300, 2.5, 0.125]] * 5
+                 + [[0.5, -0.5, 1e-300, 2.5, -0.125]], p=2),
+        _columns([], p=2),
+        _columns([_A]),
+    ],
+    ids=[
+        "run-across-passes", "run-fills-pass", "signed-zero-theta",
+        "signed-zero-z", "signed-zero-dist", "nan-inf", "not-adjacent",
+        "p2", "empty", "single",
+    ],
+)
+def test_particles_csv_copies_match_rowwise_writer(tmp_path, monkeypatch, particles):
+    monkeypatch.setattr(runner, "_CSV_CHUNK", 4)
+    runner.write_particles_csv(str(tmp_path / "block.csv"), particles)
+    _rowwise_particles_csv(str(tmp_path / "rows.csv"), particles)
+    assert _read(str(tmp_path / "block.csv")) == _read(str(tmp_path / "rows.csv"))
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        RunConfig(sampler="naive-smc", n=2000, schedule=[2.0, 1.0, 0.5], seed=11),
+        RunConfig(sampler="self-calibrated", n=2000, epsilon_target=0.09, seed=11),
+        RunConfig(sampler="mcmc", n_prior=2000, epsilon_target=0.09,
+                  mcmc_steps=500, seed=11),
+    ],
+    ids=lambda cfg: cfg.sampler,
+)
+def test_sampler_particles_csv_matches_rowwise_writer(tmp_path, cfg):
+    particles = run_replicate(cfg, 1).particles
+    # resampled copies and repeated chain states share lines
+    assert _runs(particles) < len(particles)
+    runner.write_particles_csv(str(tmp_path / "block.csv"), particles)
+    _rowwise_particles_csv(str(tmp_path / "rows.csv"), particles)
+    assert _read(str(tmp_path / "block.csv")) == _read(str(tmp_path / "rows.csv"))

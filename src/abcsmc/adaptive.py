@@ -14,7 +14,7 @@ simulation cost, stopping at the smallest ``alpha`` with
 block of kernel moves, so an iteration costs exactly ``n`` simulations:
 ``floor(alpha*n)`` during calibration plus ``n - floor(alpha*n)`` fresh
 ones after resampling.  The run stops once the estimated move
-probability drops to ``rho_stop``, and a final rejection step trims the
+probability drops to ``RHO_STOP``, and a final rejection step trims the
 output to the target tolerance when possible.
 
 Every stage draws from per-slot streams: slot i draws from a Generator
@@ -66,6 +66,9 @@ _SUB_FRESH = 2
 
 ALPHA_GRID = 100  # candidate alphas are a/ALPHA_GRID for a = 1..ALPHA_GRID
 SHRINK_FACTOR = 0.5  # init stops once v_K < SHRINK_FACTOR * v_1
+MAX_INIT_BATCHES = 10_000  # init gives up after this many batches
+RHO_STOP = 0.1  # iterations stop once rho_hat <= RHO_STOP
+MAX_ITERS = 200  # and at the latest after MAX_ITERS iterations
 
 
 @dataclass
@@ -186,7 +189,6 @@ def init_stage(
     n: int,
     epsilon_target: float,
     key: RngKey,
-    max_batches: int = 10_000,
     counter: SimCounter | None = None,
 ) -> InitResult:
     """Prior-predictive warm start that decides whether to run at all.
@@ -200,14 +202,12 @@ def init_stage(
     ``v_K >= SHRINK_FACTOR * v_1``; at least one pass always runs, so at
     least two batches are simulated.  A first batch whose distances all
     equal one value at or above the target cannot rank particles, so it
-    raises instead of running to the cap.
+    raises instead of running to the cap of ``MAX_INIT_BATCHES``.
     """
     if n < 2:
         raise ValueError("need at least two particles")
     if not np.isfinite(epsilon_target) or epsilon_target < 0:
         raise ValueError("target tolerance must be finite and non-negative")
-    if max_batches < 2:
-        raise ValueError("batch cap must allow at least two batches")
 
     best = _prior_stage(model, n, key.child(1), counter, PHASE_INIT).sorted_by_dist()
     if best.dists[0] == best.dists[-1] >= epsilon_target:
@@ -227,7 +227,7 @@ def init_stage(
     keep = np.arange(n)
     while eps0 >= epsilon_target and vk >= SHRINK_FACTOR * v1:
         k += 1
-        if k > max_batches:
+        if k > MAX_INIT_BATCHES:
             partial = InitResult(
                 array=best,
                 epsilon0=float(best.dists[-1]),
@@ -237,7 +237,7 @@ def init_stage(
                 terminal=False,
             )
             raise BudgetExceededError(
-                f"initialization did not converge within {max_batches} batches",
+                f"initialization did not converge within {MAX_INIT_BATCHES} batches",
                 partial=partial,
             )
         batch = _prior_stage(model, n, key.child(k), counter, PHASE_INIT)
@@ -410,15 +410,13 @@ def run_self_calibrated(
     n: int,
     epsilon_target: float,
     key: RngKey,
-    rho_stop: float = 0.1,
-    max_iters: int = 200,
     counter: SimCounter | None = None,
 ) -> tuple[ParticleArray, RunTrace]:
     """Full pipeline: initialization, calibrated iterations, final trim.
 
     Iterations stop at the first estimated move probability at or below
-    ``rho_stop``, or once the calibrated tolerance reaches the target,
-    or at ``max_iters``.  Post-processing keeps the particles within the
+    ``RHO_STOP``, or once the calibrated tolerance reaches the target,
+    or at ``MAX_ITERS``.  Post-processing keeps the particles within the
     target tolerance when any exist (zero extra simulations); otherwise
     the full array is returned at its achieved tolerance and the trace
     carries ``target_reached=False``.  The trace's ``stop_iter`` is the
@@ -429,10 +427,6 @@ def run_self_calibrated(
     plus the (stage, iteration, slot) coordinates, never from execution
     order, so results are bit-identical for any worker count.
     """
-    if not 0.0 < rho_stop <= 1.0:
-        raise ValueError("rho_stop must be in (0, 1]")
-    if max_iters < 0:
-        raise ValueError("max_iters must be non-negative")
     counter = counter if counter is not None else SimCounter()
     init_before = counter.count(PHASE_INIT)
     iter_before = counter.count(PHASE_ITERATION)
@@ -443,8 +437,6 @@ def run_self_calibrated(
             "model": model.name,
             "n": n,
             "epsilon_target": epsilon_target,
-            "rho_stop": rho_stop,
-            "max_iters": max_iters,
         }
     )
 
@@ -467,8 +459,8 @@ def run_self_calibrated(
     if init.terminal:
         stop_iter = 0
     else:
-        while t < max_iters:
-            if rho_last <= rho_stop:
+        while t < MAX_ITERS:
+            if rho_last <= RHO_STOP:
                 stop_iter = t
                 break
             if eps_last <= epsilon_target:

@@ -24,11 +24,8 @@ class RunConfig:
     n: int | None = None
     n_prior: int | None = None
     epsilon_target: float | None = None
-    quantile: float | None = None
     schedule: list[float] = field(default_factory=list)
     mcmc_steps: int = 1000
-    rho_stop: float = 0.1
-    max_iters: int = 200
     replicates: int = 1
     seed: int | None = None
     workers: int = 1
@@ -128,13 +125,8 @@ def validate_config(cfg: RunConfig) -> None:
     if cfg.sampler == "reject":
         if cfg.n_prior is None or cfg.n_prior < 1:
             raise ConfigError("reject: n_prior must be a positive integer")
-        if (cfg.epsilon_target is None) == (cfg.quantile is None):
-            raise ConfigError("reject: set exactly one of epsilon_target, quantile")
-        if cfg.quantile is not None:
-            if not 0 < cfg.quantile <= 1:
-                raise ConfigError("reject: quantile must be in (0, 1]")
-            if math.floor(cfg.quantile * cfg.n_prior) < 1:
-                raise ConfigError("reject: quantile * n_prior must be at least 1")
+        if cfg.epsilon_target is None:
+            raise ConfigError("reject: epsilon_target is required")
     elif cfg.sampler == "mcmc":
         if cfg.n_prior is None or cfg.n_prior < 1:
             raise ConfigError("mcmc: n_prior (warm-up pool size) must be positive")
@@ -156,7 +148,3 @@ def validate_config(cfg: RunConfig) -> None:
             raise ConfigError("self-calibrated: n must be at least 2")
         if cfg.epsilon_target is None:
             raise ConfigError("self-calibrated: epsilon_target is required")
-        if not 0 < cfg.rho_stop <= 1:
-            raise ConfigError("self-calibrated: rho_stop must be in (0, 1]")
-        if cfg.max_iters < 0:
-            raise ConfigError("self-calibrated: max_iters must be non-negative")

@@ -25,7 +25,7 @@ from functools import partial
 import numpy as np
 
 from .adaptive import run_self_calibrated
-from .config import RunConfig
+from .config import RunConfig, validate_config
 from .diagnostics import ess_of_thetas, gain_factor
 from .errors import BudgetExceededError, ConfigError, DegenerateArrayError
 from .model import ModelSpec, ParticleArray, toy_model
@@ -87,22 +87,11 @@ def run_replicate(cfg: RunConfig, replicate: int) -> ReplicateResult:
 
     if cfg.sampler == "self-calibrated":
         particles, trace = run_self_calibrated(
-            model,
-            cfg.n,
-            cfg.epsilon_target,
-            key,
-            rho_stop=cfg.rho_stop,
-            max_iters=cfg.max_iters,
-            counter=counter,
+            model, cfg.n, cfg.epsilon_target, key, counter=counter
         )
     elif cfg.sampler == "reject":
         res = abc_reject(
-            model,
-            cfg.n_prior,
-            key,
-            epsilon=cfg.epsilon_target,
-            quantile=cfg.quantile,
-            counter=counter,
+            model, cfg.n_prior, key, epsilon=cfg.epsilon_target, counter=counter
         )
         particles = res.particles
         trace = RunTrace(
@@ -307,24 +296,20 @@ def run_experiment(cfg: RunConfig, out_dir: str | None = None) -> ExperimentOutp
 
 
 def _target_epsilon(cfg: RunConfig) -> float:
-    if cfg.sampler == "naive-smc":
-        return cfg.schedule[-1]
-    if cfg.epsilon_target is None:
-        raise ConfigError(
-            "table1 requires an explicit tolerance for every config "
-            "(quantile-mode rejection has none)"
-        )
-    return cfg.epsilon_target
+    return cfg.schedule[-1] if cfg.sampler == "naive-smc" else cfg.epsilon_target
 
 
 def table1_report(cfgs: list[RunConfig], out_dir: str | None = None) -> str:
     """Cost/ESS comparison of samplers at one shared model and tolerance.
 
     Each config's replicates run under its own subdirectory of the
-    report directory; the report row holds replicate means.
+    report directory; the report row holds replicate means.  Every config
+    is validated first, so each one names its tolerance.
     """
     if not cfgs:
         raise ConfigError("table1 needs at least one config")
+    for cfg in cfgs:
+        validate_config(cfg)
     base = cfgs[0]
     eps0 = _target_epsilon(base)
     for cfg in cfgs:

@@ -63,8 +63,8 @@ class McmcKernelConfig:
     _factor: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.epsilon < 0:
-            raise ValueError("tolerance must be non-negative")
+        if not self.epsilon >= 0:
+            raise ValueError("tolerance must be non-negative, not NaN")
         factor = proposal_factor(self.sigma)
         factor.setflags(write=False)
         object.__setattr__(self, "sigma", np.atleast_2d(np.asarray(self.sigma, float)))
@@ -146,8 +146,8 @@ def mcmc_abc_chain(
 
 @dataclass
 class RejectionResult:
-    """Accepted particles (sorted ascending by distance) plus the realized
-    tolerance.  An empty result is valid in tolerance mode."""
+    """Accepted particles (sorted ascending by distance) at the tolerance
+    ``epsilon``.  An empty result is valid."""
 
     particles: ParticleArray
     epsilon: float
@@ -162,40 +162,19 @@ def abc_reject(
     model: ModelSpec,
     n_prior: int,
     key: RngKey,
-    epsilon: float | None = None,
-    quantile: float | None = None,
+    epsilon: float,
     counter=None,
 ) -> RejectionResult:
     """Plain rejection: simulate ``n_prior`` prior-predictive particles and
-    keep those within a tolerance, or the best quantile of them.
-
-    Quantile mode keeps the ``floor(quantile * n_prior)`` smallest
-    distances and reports the realized tolerance, the corresponding
-    order statistic of the simulated distances.
-    """
+    keep those within the tolerance ``epsilon``."""
     if n_prior < 1:
         raise ValueError("n_prior must be positive")
-    if (epsilon is None) == (quantile is None):
-        raise ValueError("exactly one of epsilon or quantile must be given")
-    if epsilon is not None and epsilon < 0:
-        raise ValueError("tolerance must be non-negative")
-    if quantile is not None:
-        if not 0 < quantile <= 1:
-            raise ValueError("quantile must be in (0, 1]")
-        if math.floor(quantile * n_prior) < 1:
-            raise ValueError("quantile * n_prior must be at least 1")
+    if not epsilon >= 0:
+        raise ValueError("tolerance must be non-negative, not NaN")
 
     pool = prior_predictive(model, n_prior, key, counter)
-
-    if epsilon is not None:
-        kept = pool.take(np.flatnonzero(pool.dists <= epsilon)).sorted_by_dist()
-        return RejectionResult(kept, float(epsilon), n_prior)
-
-    k = math.floor(quantile * n_prior)
-    # k smallest by distance, ties by original index (stable)
-    idx = np.argsort(pool.dists, kind="stable")[:k]
-    kept = pool.take(idx)
-    return RejectionResult(kept, float(kept.dists[-1]), n_prior)
+    kept = pool.take(np.flatnonzero(pool.dists <= epsilon)).sorted_by_dist()
+    return RejectionResult(kept, float(epsilon), n_prior)
 
 
 def proposal_scale(thetas: np.ndarray) -> np.ndarray:

@@ -55,7 +55,6 @@ from scipy import stats
 import conftest
 from abcsmc import (
     McmcKernelConfig,
-    ParticleArray,
     RngKey,
     abc_reject,
     ess_of_thetas,
@@ -68,6 +67,7 @@ from abcsmc import (
     toy_model,
     toy_posterior_quantile,
 )
+from abcsmc import adaptive
 from abcsmc.config import RunConfig, validate_config
 
 pytestmark = pytest.mark.acceptance
@@ -93,13 +93,15 @@ def large_rejection_run(toy):
 @pytest.fixture(scope="module")
 def full_scale_calibrated_runs(toy):
     # criterion 2 workload: five full-scale runs tuned to reach the
-    # target tolerance (rho_stop low enough that the epsilon rule fires)
+    # target tolerance (RHO_STOP low enough that the epsilon rule fires)
     runs = []
-    for r in range(1, 6):
-        final, trace = run_self_calibrated(
-            toy, 100_000, TARGET_EPS, RngKey(102).child(r), rho_stop=0.01
-        )
-        runs.append((final, trace))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(adaptive, "RHO_STOP", 0.01)
+        for r in range(1, 6):
+            final, trace = run_self_calibrated(
+                toy, 100_000, TARGET_EPS, RngKey(102).child(r)
+            )
+            runs.append((final, trace))
     return runs
 
 
@@ -260,7 +262,10 @@ def test_criterion_6_distinct_count_bound(toy):
     )
 
 
-def test_criterion_7_tolerance_variance_scaling(toy):
+def test_criterion_7_tolerance_variance_scaling(toy, monkeypatch):
+    # eight iterations for every run: no stop rule fires before the cap
+    monkeypatch.setattr(adaptive, "RHO_STOP", 1e-9)
+    monkeypatch.setattr(adaptive, "MAX_ITERS", 8)
     sizes = [200, 500, 1000, 2000, 4000]
     reps = 50
     slopes = {}
@@ -268,9 +273,7 @@ def test_criterion_7_tolerance_variance_scaling(toy):
     for n in sizes:
         eps_by_iter = {1: [], 8: []}
         for r in range(reps):
-            _, trace = run_self_calibrated(
-                toy, n, 1e-9, RngKey(700).child(n, r), rho_stop=1e-9, max_iters=8
-            )
+            _, trace = run_self_calibrated(toy, n, 1e-9, RngKey(700).child(n, r))
             assert len(trace.iterations) == 8
             eps_by_iter[1].append(trace.iterations[0].epsilon)
             eps_by_iter[8].append(trace.iterations[7].epsilon)

@@ -141,9 +141,10 @@ class TestInitStage:
         assert res.batches_used == 2
         assert res.epsilon0 < 100.0
 
-    def test_budget_exceeded_carries_partial(self):
+    def test_budget_exceeded_carries_partial(self, monkeypatch):
         # summaries that ignore theta keep the best n spread over the whole
         # prior, so the variance never halves and the cap ends the loop
+        monkeypatch.setattr(adaptive, "MAX_INIT_BATCHES", 4)
         model = ModelSpec(
             param_dim=1,
             prior_box=[(-10.0, 10.0)],
@@ -152,7 +153,7 @@ class TestInitStage:
             simulator=lambda t, r: np.array([r.standard_normal()]),
         )
         with pytest.raises(BudgetExceededError) as err:
-            init_stage(model, 100, 1e-12, RngKey(53), max_batches=4)
+            init_stage(model, 100, 1e-12, RngKey(53))
         partial = err.value.partial
         assert partial.batches_used == 4
         assert len(partial.array) == 100
@@ -255,8 +256,6 @@ class TestInitStage:
             init_stage(toy, 1, 0.1, RngKey(0))
         with pytest.raises(ValueError):
             init_stage(toy, 10, -0.1, RngKey(0))
-        with pytest.raises(ValueError):
-            init_stage(toy, 10, 0.1, RngKey(0), max_batches=1)
 
 
 def _calibrate_point_by_point(sorted_array, sigma, model, key, counter):
@@ -350,7 +349,8 @@ class TestCalibrateAlpha:
     def test_skipping_equals_point_by_point_walk(self, model, n, monkeypatch):
         # n = 50 leaves grid points without slots, n = 150 gives points
         # of one or two new slots, and n = 1000 of ten
-        arr = init_stage(model, n, 0.0, RngKey(90), max_batches=3).array
+        monkeypatch.setattr(adaptive, "MAX_INIT_BATCHES", 3)
+        arr = init_stage(model, n, 0.0, RngKey(90)).array
         sigma = proposal_scale(arr.thetas)
         calls = []
 
@@ -563,8 +563,9 @@ class TestRunSelfCalibrated:
         assert np.array_equal(final.zs, again.zs)
         assert trace.to_dict() == trace2.to_dict()
 
-    def test_rho_stop_one_means_no_iterations(self, toy):
-        final, trace = run_self_calibrated(toy, 1000, 0.09, RngKey(61), rho_stop=1.0)
+    def test_rho_stop_one_means_no_iterations(self, toy, monkeypatch):
+        monkeypatch.setattr(adaptive, "RHO_STOP", 1.0)
+        final, trace = run_self_calibrated(toy, 1000, 0.09, RngKey(61))
         assert trace.iterations == []
         assert trace.stop_iter == 0
         assert np.all(final.dists <= 0.09)
@@ -578,20 +579,38 @@ class TestRunSelfCalibrated:
         assert len(final) == 500
         assert trace.final_epsilon == trace.init["epsilon0"]
 
-    def test_unreached_target_returns_full_array(self, toy):
-        final, trace = run_self_calibrated(
-            toy, 400, 1e-9, RngKey(63), rho_stop=1e-6, max_iters=2
-        )
+    def test_unreached_target_returns_full_array(self, toy, monkeypatch):
+        monkeypatch.setattr(adaptive, "RHO_STOP", 1e-6)
+        monkeypatch.setattr(adaptive, "MAX_ITERS", 2)
+        final, trace = run_self_calibrated(toy, 400, 1e-9, RngKey(63))
         assert not trace.target_reached
         assert trace.stop_iter is None
         assert len(trace.iterations) == 2
         assert trace.n_final == 400
         assert trace.final_epsilon == trace.iterations[-1].epsilon
 
-    def test_zero_iterations_allowed(self, toy):
-        final, trace = run_self_calibrated(toy, 300, 0.09, RngKey(64), max_iters=0)
+    def test_zero_iterations_allowed(self, toy, monkeypatch):
+        monkeypatch.setattr(adaptive, "MAX_ITERS", 0)
+        final, trace = run_self_calibrated(toy, 300, 0.09, RngKey(64))
         assert trace.iterations == []
         assert trace.stop_iter is None
+
+    def test_iteration_cap_ends_the_run_before_the_trim(self, toy, monkeypatch):
+        # the cap ends this run (it takes more iterations to reach 0.09 or
+        # rho_hat <= 0.1), and the final trim still applies
+        monkeypatch.setattr(adaptive, "MAX_ITERS", 2)
+        counter = SimCounter()
+        final, trace = run_self_calibrated(toy, 500, 0.09, RngKey(66), counter=counter)
+        k = trace.init["batches_used"]
+        assert len(trace.iterations) == 2
+        assert trace.stop_iter is None
+        assert trace.iterations[-1].epsilon > 0.09
+        assert trace.iterations[-1].rho_hat > adaptive.RHO_STOP
+        assert trace.total_sims == counter.total == (k + 2) * 500
+        assert trace.target_reached
+        assert trace.final_epsilon == 0.09
+        assert 0 < len(final) < 500
+        assert np.all(final.dists <= 0.09)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_summary_aborts(self, bad):
@@ -608,12 +627,11 @@ class TestRunSelfCalibrated:
             run_self_calibrated(model, 100, 0.09, RngKey(65))
 
     def test_validation(self, toy):
-        with pytest.raises(ValueError):
-            run_self_calibrated(toy, 300, 0.09, RngKey(0), rho_stop=0.0)
-        with pytest.raises(ValueError):
-            run_self_calibrated(toy, 300, 0.09, RngKey(0), rho_stop=1.5)
-        with pytest.raises(ValueError):
-            run_self_calibrated(toy, 300, 0.09, RngKey(0), max_iters=-1)
+        counter = SimCounter()
+        for n, eps in ((1, 0.09), (300, -0.1), (300, np.nan)):
+            with pytest.raises(ValueError):
+                run_self_calibrated(toy, n, eps, RngKey(0), counter=counter)
+        assert counter.total == 0
 
 
 class TestTwoParameters:

@@ -20,7 +20,6 @@ sampler = self-calibrated
 model = toy
 n = 2000
 epsilon_target = 0.09
-rho_stop = 0.1
 seed = 7
 replicates = 3
 workers = 2
@@ -34,20 +33,19 @@ class TestParsing:
         assert cfg.sampler == "self-calibrated"
         assert cfg.n == 2000
         assert cfg.epsilon_target == 0.09
-        assert cfg.rho_stop == 0.1
         assert cfg.seed == 7
         assert cfg.replicates == 3
         assert cfg.workers == 2
         assert cfg.out_dir == "results"
         # untouched defaults survive
-        assert cfg.max_iters == 200
+        assert cfg.mcmc_steps == 1000
 
     def test_comments_and_whitespace(self):
         cfg = parse_config(
             "sampler=reject # trailing comment\n"
             "\n"
             "   n_prior =  100  \n"
-            "quantile=0.5\n"
+            "epsilon_target=0.5\n"
             "seed=0\n"
         )
         assert cfg.sampler == "reject"
@@ -63,13 +61,18 @@ class TestParsing:
         with pytest.raises(ConfigError, match="unknown config key"):
             parse_config("sampler = reject\nbanana = 3\n", validate=False)
         # the alpha lattice, the first-block rule, the init shrink factor,
-        # the init batch cap and the mcmc proposal scale are not settable
+        # the init batch cap, the mcmc proposal scale, quantile-mode
+        # rejection, the move-probability stop and the iteration cap are
+        # not settable
         for line in (
             "alpha_grid = 100",
             "literal_first_block = false",
             "shrink_factor = 0.5",
             "max_init_batches = 10000",
             "proposal_sd = 0.7",
+            "quantile = 0.5",
+            "rho_stop = 0.1",
+            "max_iters = 200",
         ):
             with pytest.raises(ConfigError, match="unknown config key"):
                 parse_config(f"sampler = self-calibrated\n{line}\n", validate=False)
@@ -105,8 +108,8 @@ class TestParsing:
 
     def test_to_dict_covers_all_fields(self):
         d = RunConfig().to_dict()
-        assert "sampler" in d and "seed" in d and "max_iters" in d
-        assert len(d) == 15
+        assert "sampler" in d and "seed" in d and "workers" in d
+        assert len(d) == 12
 
     def test_every_field_has_a_parser(self):
         assert set(_PARSERS) == {f.name for f in fields(RunConfig)}
@@ -114,8 +117,8 @@ class TestParsing:
     def test_each_key_parses_as_its_type(self):
         keys_by_type = {
             str: ("sampler", "model", "out_dir"),
-            int: ("n", "n_prior", "mcmc_steps", "max_iters", "replicates", "seed", "workers"),
-            float: ("prior_halfwidth", "epsilon_target", "quantile", "rho_stop"),
+            int: ("n", "n_prior", "mcmc_steps", "replicates", "seed", "workers"),
+            float: ("prior_halfwidth", "epsilon_target"),
             list: ("schedule",),
         }
         parsed = {str: "7", int: 7, float: 7.0, list: [7.0]}
@@ -144,30 +147,23 @@ def _cfg(**kw):
 class TestValidation:
     def test_seed_mandatory(self):
         with pytest.raises(ConfigError, match="seed"):
-            validate_config(RunConfig(sampler="reject", n_prior=10, quantile=0.5))
+            validate_config(RunConfig(sampler="reject", n_prior=10, epsilon_target=0.5))
         with pytest.raises(ConfigError, match="seed"):
-            _cfg_bad = RunConfig(sampler="reject", n_prior=10, quantile=0.5, seed=-1)
+            _cfg_bad = RunConfig(sampler="reject", n_prior=10, epsilon_target=0.5, seed=-1)
             validate_config(_cfg_bad)
 
     def test_unknown_sampler_and_model(self):
         with pytest.raises(ConfigError, match="sampler"):
             _cfg(sampler="gibbs")
         with pytest.raises(ConfigError, match="model"):
-            _cfg(sampler="reject", model="lotka", n_prior=10, quantile=0.5)
+            _cfg(sampler="reject", model="lotka", n_prior=10, epsilon_target=0.5)
 
     def test_reject_rules(self):
         _cfg(sampler="reject", n_prior=100, epsilon_target=0.1)
-        _cfg(sampler="reject", n_prior=100, quantile=0.5)
-        with pytest.raises(ConfigError):
-            _cfg(sampler="reject", quantile=0.5)  # no n_prior
-        with pytest.raises(ConfigError, match="exactly one"):
+        with pytest.raises(ConfigError, match="n_prior"):
+            _cfg(sampler="reject", epsilon_target=0.1)
+        with pytest.raises(ConfigError, match="epsilon_target"):
             _cfg(sampler="reject", n_prior=100)
-        with pytest.raises(ConfigError, match="exactly one"):
-            _cfg(sampler="reject", n_prior=100, epsilon_target=0.1, quantile=0.5)
-        with pytest.raises(ConfigError, match="quantile"):
-            _cfg(sampler="reject", n_prior=100, quantile=1.5)
-        with pytest.raises(ConfigError, match="at least 1"):
-            _cfg(sampler="reject", n_prior=100, quantile=0.001)
 
     def test_mcmc_rules(self):
         _cfg(sampler="mcmc", n_prior=1000, epsilon_target=0.1)
@@ -197,23 +193,15 @@ class TestValidation:
             _cfg(sampler="self-calibrated", epsilon_target=0.09)
         with pytest.raises(ConfigError):
             _cfg(sampler="self-calibrated", n=100)
-        with pytest.raises(ConfigError, match="rho_stop"):
-            _cfg(sampler="self-calibrated", n=100, epsilon_target=0.09, rho_stop=0.0)
-        with pytest.raises(ConfigError, match="rho_stop"):
-            _cfg(sampler="self-calibrated", n=100, epsilon_target=0.09, rho_stop=1.01)
-        with pytest.raises(ConfigError, match="max_iters"):
-            _cfg(sampler="self-calibrated", n=100, epsilon_target=0.09, max_iters=-1)
 
     def test_common_rules(self):
         with pytest.raises(ConfigError, match="halfwidth"):
-            _cfg(sampler="reject", n_prior=10, quantile=0.5, prior_halfwidth=0.0)
+            _cfg(sampler="reject", n_prior=10, epsilon_target=0.5, prior_halfwidth=0.0)
         with pytest.raises(ConfigError, match="halfwidth"):
-            _cfg(sampler="reject", n_prior=10, quantile=0.5, prior_halfwidth=math.inf)
+            _cfg(sampler="reject", n_prior=10, epsilon_target=0.5, prior_halfwidth=math.inf)
         with pytest.raises(ConfigError, match="replicates"):
-            _cfg(sampler="reject", n_prior=10, quantile=0.5, replicates=-1)
+            _cfg(sampler="reject", n_prior=10, epsilon_target=0.5, replicates=-1)
         with pytest.raises(ConfigError, match="workers"):
-            _cfg(sampler="reject", n_prior=10, quantile=0.5, workers=0)
+            _cfg(sampler="reject", n_prior=10, epsilon_target=0.5, workers=0)
         with pytest.raises(ConfigError, match="epsilon_target"):
             _cfg(sampler="reject", n_prior=10, epsilon_target=-1.0)
-        # rho_stop = 1.0 is the documented upper edge and stays legal
-        _cfg(sampler="self-calibrated", n=10, epsilon_target=0.09, rho_stop=1.0)

@@ -119,11 +119,11 @@ def _unused_imports(source: str) -> list[str]:
 
 
 def test_modules_use_what_they_import():
-    # __init__.py imports names to re-export them
+    # the package's __init__.py imports names to re-export them
     unused = {
-        path.name: names
-        for path in sorted(PACKAGE.glob("*.py"))
-        if path.name != "__init__.py"
+        f"{path.parent.name}/{path.name}": names
+        for path in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+        if path != PACKAGE / "__init__.py"
         and (names := _unused_imports(path.read_text(encoding="utf-8")))
     }
     assert unused == {}

@@ -345,10 +345,11 @@ class TestTable1:
         with pytest.raises(ConfigError, match="tolerance"):
             table1_report([a, b], str(tmp_path))
 
-    def test_quantile_mode_has_no_tolerance(self, tmp_path):
-        a = RunConfig(sampler="reject", n_prior=100, quantile=0.5, seed=0)
-        with pytest.raises(ConfigError, match="tolerance"):
+    def test_config_without_tolerance_rejected(self, tmp_path):
+        a = RunConfig(sampler="reject", n_prior=100, seed=0)
+        with pytest.raises(ConfigError, match="epsilon_target"):
             table1_report([a], str(tmp_path))
+        assert list(tmp_path.iterdir()) == []
 
     def test_empty_list_rejected(self, tmp_path):
         with pytest.raises(ConfigError):

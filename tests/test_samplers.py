@@ -73,24 +73,11 @@ class TestAbcReject:
         assert res.epsilon == 0.5
         assert res.n_prior == 20_000
 
-    def test_quantile_mode_keeps_floor(self, toy):
-        res = abc_reject(toy, 1001, RngKey(12), quantile=0.1)
-        assert len(res.particles) == 100  # floor(0.1 * 1001)
-        assert res.epsilon == res.particles.dists[-1]
-
-    def test_quantile_floor_of_one(self, toy):
-        res = abc_reject(toy, 50, RngKey(13), quantile=0.02)
-        assert len(res.particles) == 1
-
-    def test_quantile_too_small_to_keep_anything(self, toy):
-        with pytest.raises(ValueError):
-            abc_reject(toy, 50, RngKey(13), quantile=0.001)
-
-    def test_modes_are_exclusive(self, toy):
-        with pytest.raises(ValueError):
-            abc_reject(toy, 100, RngKey(0), epsilon=0.1, quantile=0.1)
-        with pytest.raises(ValueError):
-            abc_reject(toy, 100, RngKey(0))
+    def test_nan_tolerance_raises(self, toy):
+        # nothing is within a NaN tolerance, so it must not pass as an
+        # empty result
+        with pytest.raises(ValueError, match="NaN"):
+            abc_reject(toy, 1000, RngKey(1), epsilon=np.nan)
 
     def test_nested_tolerances_share_prefix(self, toy):
         # same key means the same prior-predictive draws, so the keep set
@@ -142,6 +129,12 @@ class TestMcmcKernel:
         bad = Particle(np.zeros(1), np.array([5.0]), 5.0)
         with pytest.raises(ValueError):
             mcmc_abc_step(bad, cfg, toy, RngKey(0).generator())
+
+    def test_nan_tolerance_raises(self):
+        # no distance is within a NaN tolerance, so such a kernel could
+        # never move
+        with pytest.raises(ValueError, match="NaN"):
+            McmcKernelConfig(sigma=np.array([[1.0]]), epsilon=np.nan)
 
     def test_out_of_box_proposal_costs_no_simulation(self, toy):
         start, _ = self._start(toy)

@@ -103,9 +103,10 @@ class CalibrationOutcome:
     proposals: ParticleArray
 
 
-def _det_var(thetas: np.ndarray) -> float:
-    """Determinant of the unbiased empirical covariance of parameter rows."""
-    return float(np.linalg.det(np.atleast_2d(np.cov(thetas, rowvar=False, ddof=1))))
+def _det_var(cov: np.ndarray) -> float:
+    """Determinant of an unbiased ``np.cov(thetas, rowvar=False)``, which
+    is 0-d for one parameter."""
+    return float(np.linalg.det(np.atleast_2d(cov)))
 
 
 def _stage_streams(model: ModelSpec, keys: np.ndarray) -> SlotStreams | None:
@@ -215,9 +216,11 @@ def init_stage(
             "every distance in the first prior-predictive batch is equal"
             " and not below the target"
         )
-    v1 = _det_var(best.thetas)
-    # not v1 <= 0: round-off can give a singular covariance a positive det
-    if np.linalg.matrix_rank(np.cov(best.thetas, rowvar=False)) < model.param_dim:
+    cov1 = np.cov(best.thetas, rowvar=False)
+    v1 = _det_var(cov1)
+    # not v1 <= 0: round-off can give a singular covariance a positive det;
+    # a 0-d cov1 (p = 1) takes matrix_rank's nonzero test, not an SVD
+    if np.linalg.matrix_rank(cov1) < model.param_dim:
         raise DegenerateArrayError(
             "first prior-predictive batch has a singular parameter variance"
         )
@@ -244,7 +247,7 @@ def init_stage(
         # the sort is stable, so the best n of (best n so far + batch) are
         # exactly the best n of the whole pool, in the same order
         best = best.concat(batch).sorted_by_dist().take(keep)
-        vk = _det_var(best.thetas)
+        vk = _det_var(np.cov(best.thetas, rowvar=False))
         eps0 = float(best.dists[-1])
 
     return InitResult(

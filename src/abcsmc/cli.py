@@ -3,7 +3,9 @@
 Subcommands: ``run`` executes one configured experiment, ``table1``
 compares samplers' cost and effective sample size at a shared tolerance,
 ``gain-curve`` writes the per-iteration gain series of a self-calibrated
-run.  ``--seed``/``--workers``/``--out`` override the config file.
+run.  ``--seed``/``--workers`` override the config file, and ``--out``
+names the output directory (default ``out``); the runner validates the
+config after the flags are applied.
 
 Exit codes: 0 success, 2 configuration error, 3 runtime failure (with
 ``.partial`` artifacts preserved where applicable).  ``run`` prints the
@@ -15,7 +17,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import RunConfig, load_config, validate_config
+from .config import RunConfig, load_config
 from .errors import ConfigError
 from .runner import gain_curve, run_experiment, table1_report
 
@@ -29,9 +31,6 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
         cfg.seed = args.seed
     if args.workers is not None:
         cfg.workers = args.workers
-    if args.out is not None:
-        cfg.out_dir = args.out
-    validate_config(cfg)
     return cfg
 
 
@@ -58,7 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for p in (p_run, p_table, p_curve):
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--workers", type=int, default=None, help="override worker count")
-        p.add_argument("--out", default=None, help="override the output directory")
+        p.add_argument("--out", default="out", help="output directory (default: out)")
     return parser
 
 
@@ -66,19 +65,18 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "run":
-            cfg = _apply_overrides(load_config(args.config, validate=False), args)
-            output = run_experiment(cfg)
+            cfg = _apply_overrides(load_config(args.config), args)
+            output = run_experiment(cfg, args.out)
             for path in output.paths:
                 print(path)
         elif args.command == "table1":
             cfgs = [
-                _apply_overrides(load_config(path, validate=False), args)
-                for path in args.configs
+                _apply_overrides(load_config(path), args) for path in args.configs
             ]
             print(table1_report(cfgs, args.out))
         elif args.command == "gain-curve":
-            cfg = _apply_overrides(load_config(args.config, validate=False), args)
-            print(gain_curve(cfg))
+            cfg = _apply_overrides(load_config(args.config), args)
+            print(gain_curve(cfg, args.out))
         return EXIT_OK
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

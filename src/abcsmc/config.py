@@ -1,9 +1,9 @@
 """Run configuration: a flat ``key = value`` text format.
 
-One setting per line, ``#`` starts a comment, whitespace is free.  The
-seed is mandatory so runs are never silently wall-clock seeded.  Every
-numeric bound mirrors the contract of the module that consumes it, so a
-config that parses cleanly will not be rejected later for range errors.
+One setting per line, set once; ``#`` starts a comment, whitespace is
+free.  The seed is mandatory so runs are never silently wall-clock seeded.
+Every numeric bound mirrors the contract of the module that consumes it,
+and every runner entry point checks its config before any work.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ class RunConfig:
     replicates: int = 1
     seed: int | None = None
     workers: int = 1
-    out_dir: str = "out"
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -69,10 +68,11 @@ _PARSERS = {
 }
 
 
-def parse_config(text: str, validate: bool = True) -> RunConfig:
-    """Parse config text; ``validate=False`` defers range/requirement checks
-    so callers can apply overrides (CLI flags) first."""
+def parse_config(text: str) -> RunConfig:
+    """Parse config text; ranges and requirements are left to
+    :func:`validate_config`, so callers can apply overrides first."""
     cfg = RunConfig()
+    seen: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -84,26 +84,26 @@ def parse_config(text: str, validate: bool = True) -> RunConfig:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
         if not raw:
             raise ConfigError(f"line {lineno}: empty value for {key!r}")
+        if seen.setdefault(key, lineno) != lineno:
+            raise ConfigError(f"line {lineno}: {key!r} already set on line {seen[key]}")
         setattr(cfg, key, _PARSERS[key](raw, key))
-    if validate:
-        validate_config(cfg)
     return cfg
 
 
-def load_config(path: str, validate: bool = True) -> RunConfig:
+def load_config(path: str) -> RunConfig:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    return parse_config(text, validate=validate)
+    return parse_config(text)
 
 
 def validate_config(cfg: RunConfig) -> None:
     if cfg.seed is None:
         raise ConfigError("seed is mandatory (no wall-clock seeding)")
-    if cfg.seed < 0:
-        raise ConfigError("seed must be non-negative")
+    if not 0 <= cfg.seed < 2**64:
+        raise ConfigError("seed must be in [0, 2**64)")
     if cfg.sampler not in SAMPLERS:
         raise ConfigError(
             f"sampler must be one of {', '.join(SAMPLERS)}, got {cfg.sampler!r}"
@@ -122,29 +122,19 @@ def validate_config(cfg: RunConfig) -> None:
     ):
         raise ConfigError("epsilon_target must be finite and non-negative")
 
-    if cfg.sampler == "reject":
+    if cfg.sampler in ("reject", "mcmc"):
         if cfg.n_prior is None or cfg.n_prior < 1:
-            raise ConfigError("reject: n_prior must be a positive integer")
-        if cfg.epsilon_target is None:
-            raise ConfigError("reject: epsilon_target is required")
-    elif cfg.sampler == "mcmc":
-        if cfg.n_prior is None or cfg.n_prior < 1:
-            raise ConfigError("mcmc: n_prior (warm-up pool size) must be positive")
-        if cfg.epsilon_target is None:
-            raise ConfigError("mcmc: epsilon_target is required")
-        if cfg.mcmc_steps < 0:
-            raise ConfigError("mcmc: mcmc_steps must be non-negative")
-    elif cfg.sampler == "naive-smc":
-        if cfg.n is None or cfg.n < 2:
-            raise ConfigError("naive-smc: n must be at least 2")
+            raise ConfigError(f"{cfg.sampler}: n_prior must be a positive integer")
+    elif cfg.n is None or cfg.n < 2:
+        raise ConfigError(f"{cfg.sampler}: n must be at least 2")
+    if cfg.sampler == "naive-smc":
         if not cfg.schedule:
             raise ConfigError("naive-smc: schedule is required")
         if any(e2 >= e1 for e1, e2 in zip(cfg.schedule, cfg.schedule[1:])):
             raise ConfigError("naive-smc: schedule must be strictly decreasing")
         if cfg.schedule[-1] < 0 or not all(math.isfinite(e) for e in cfg.schedule):
             raise ConfigError("naive-smc: tolerances must be finite and non-negative")
-    elif cfg.sampler == "self-calibrated":
-        if cfg.n is None or cfg.n < 2:
-            raise ConfigError("self-calibrated: n must be at least 2")
-        if cfg.epsilon_target is None:
-            raise ConfigError("self-calibrated: epsilon_target is required")
+    elif cfg.epsilon_target is None:
+        raise ConfigError(f"{cfg.sampler}: epsilon_target is required")
+    if cfg.sampler == "mcmc" and cfg.mcmc_steps < 0:
+        raise ConfigError("mcmc: mcmc_steps must be non-negative")

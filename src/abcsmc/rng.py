@@ -71,6 +71,11 @@ class RngKey:
     seed: int
     path: tuple[int, ...] = field(default_factory=tuple)
 
+    def __post_init__(self) -> None:
+        # a seed outside one 64-bit word would alias the seed it wraps to
+        if not 0 <= self.seed <= _MASK:
+            raise ValueError("seed must be in [0, 2**64)")
+
     def child(self, *indices: int) -> "RngKey":
         """Extend the path; each distinct path is an independent stream."""
         for i in indices:
@@ -79,7 +84,7 @@ class RngKey:
         return RngKey(self.seed, self.path + tuple(int(i) for i in indices))
 
     def _hash_prefix(self) -> int:
-        h = _mix(self.seed & _MASK)
+        h = _mix(self.seed)
         for w in self.path:
             h = _fold(h, w)
         return h

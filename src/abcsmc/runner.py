@@ -236,19 +236,20 @@ def _outcome(cfg: RunConfig, replicate: int) -> ReplicateResult | Exception:
         return exc
 
 
-def run_experiment(cfg: RunConfig, out_dir: str | None = None) -> ExperimentOutput:
+def run_experiment(cfg: RunConfig, out_dir: str) -> ExperimentOutput:
     """Run all replicates, write per-replicate artifacts plus a summary.
 
-    Replicates are dispatched to a thread pool but their artifacts are
-    written in replicate order from the collecting thread.  If any
-    replicate fails, completed replicates keep their normal artifacts,
+    An invalid config raises :class:`ConfigError` before ``out_dir`` is
+    created.  Replicates are dispatched to a thread pool but their
+    artifacts are written in replicate order from the collecting thread.
+    If any replicate fails, completed replicates keep their normal artifacts,
     the failing ones get ``trace_<r>.json.partial`` files carrying the
     error, the summary is written as ``summary.csv.partial``, and the
     first error is re-raised with the written paths, in write order, as
     its ``paths`` attribute.
     """
-    out = out_dir if out_dir is not None else cfg.out_dir
-    os.makedirs(out, exist_ok=True)
+    validate_config(cfg)
+    os.makedirs(out_dir, exist_ok=True)
 
     replicates = range(1, cfg.replicates + 1)
     outcomes = []
@@ -260,7 +261,7 @@ def run_experiment(cfg: RunConfig, out_dir: str | None = None) -> ExperimentOutp
 
     paths: list[str] = []
     for res in results:
-        paths += _write_replicate(out, res)
+        paths += _write_replicate(out_dir, res)
     for r, exc in failures:
         err_payload = {
             "replicate": r,
@@ -272,11 +273,11 @@ def run_experiment(cfg: RunConfig, out_dir: str | None = None) -> ExperimentOutp
                 "batches_used": exc.partial.batches_used,
                 "epsilon0": exc.partial.epsilon0,
             }
-        partial_path = os.path.join(out, f"trace_{r}.json.partial")
+        partial_path = os.path.join(out_dir, f"trace_{r}.json.partial")
         _write_json(partial_path, err_payload)
         paths.append(partial_path)
 
-    summary_path = os.path.join(out, "summary.csv.partial" if failures else "summary.csv")
+    summary_path = os.path.join(out_dir, "summary.csv.partial" if failures else "summary.csv")
     _write_csv(
         summary_path,
         SUMMARY_HEADER,
@@ -299,7 +300,7 @@ def _target_epsilon(cfg: RunConfig) -> float:
     return cfg.schedule[-1] if cfg.sampler == "naive-smc" else cfg.epsilon_target
 
 
-def table1_report(cfgs: list[RunConfig], out_dir: str | None = None) -> str:
+def table1_report(cfgs: list[RunConfig], out_dir: str) -> str:
     """Cost/ESS comparison of samplers at one shared model and tolerance.
 
     Each config's replicates run under its own subdirectory of the
@@ -320,11 +321,10 @@ def table1_report(cfgs: list[RunConfig], out_dir: str | None = None) -> str:
         if cfg.replicates < 1:
             raise ConfigError("table1 needs at least one replicate per config")
 
-    out = out_dir if out_dir is not None else base.out_dir
-    os.makedirs(out, exist_ok=True)
+    os.makedirs(out_dir, exist_ok=True)
     rows = []
     for i, cfg in enumerate(cfgs, start=1):
-        sub = os.path.join(out, f"{i:02d}-{cfg.sampler}")
+        sub = os.path.join(out_dir, f"{i:02d}-{cfg.sampler}")
         output = run_experiment(cfg, sub)
         costs = [res.trace.total_sims for res in output.results]
         esses = [res.trace.final_ess for res in output.results]
@@ -332,12 +332,12 @@ def table1_report(cfgs: list[RunConfig], out_dir: str | None = None) -> str:
             [cfg.sampler, cfg.replicates, float(np.mean(costs)), float(np.mean(esses))]
         )
 
-    table_path = os.path.join(out, "table1.csv")
+    table_path = os.path.join(out_dir, "table1.csv")
     _write_csv(table_path, TABLE1_HEADER, rows)
     return table_path
 
 
-def gain_curve(cfg: RunConfig, out_dir: str | None = None) -> str:
+def gain_curve(cfg: RunConfig, out_dir: str) -> str:
     """Per-iteration gain series of one self-calibrated run (replicate 1).
 
     Iteration 0 is the initialization stage alone: its gain divides the
@@ -345,15 +345,16 @@ def gain_curve(cfg: RunConfig, out_dir: str | None = None) -> str:
     probability at the realized tolerance, by the K*N simulations spent.
     ``stop_iter`` repeats on every row: the iteration whose move
     probability tripped the stop rule, 0 when initialization already
-    reached the target, -1 when the run ended some other way.
+    reached the target, -1 when the run ended some other way.  The
+    config is validated before ``out_dir`` is created.
     """
+    validate_config(cfg)
     if cfg.sampler != "self-calibrated":
         raise ConfigError("gain-curve requires sampler = self-calibrated")
-    out = out_dir if out_dir is not None else cfg.out_dir
-    os.makedirs(out, exist_ok=True)
+    os.makedirs(out_dir, exist_ok=True)
 
     res = run_replicate(cfg, 1)
-    _write_replicate(out, res)
+    _write_replicate(out_dir, res)
 
     trace = res.trace
     init = trace.init
@@ -376,6 +377,6 @@ def gain_curve(cfg: RunConfig, out_dir: str | None = None) -> str:
              gain_at(rec.ess, rec.epsilon, cum), stop_iter]
         )
 
-    curve_path = os.path.join(out, "gain_by_iter.csv")
+    curve_path = os.path.join(out_dir, "gain_by_iter.csv")
     _write_csv(curve_path, GAIN_CURVE_HEADER, rows)
     return curve_path

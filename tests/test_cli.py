@@ -107,6 +107,18 @@ def test_seed_flag_overrides_file(cfg_file, tmp_path, capsys):
     assert payload["config"]["seed"] == 42
 
 
+def test_seed_flag_completes_a_file_without_seed(tmp_path, monkeypatch, capsys):
+    # the file alone fails validation; the runner checks it after the flags,
+    # and the output goes to ./out when no --out is given
+    cfg = tmp_path / "noseed.cfg"
+    cfg.write_text(CONFIG.replace("seed = 9\n", ""))
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", str(cfg), "--seed", "3"]) == EXIT_OK
+    capsys.readouterr()
+    payload = json.loads((tmp_path / "out" / "trace_1.json").read_text())
+    assert payload["config"]["seed"] == 3
+
+
 def test_negative_seed_flag_rejected(cfg_file, tmp_path):
     assert main(["run", cfg_file, "--seed", "-1", "--out", str(tmp_path / "x")]) == EXIT_CONFIG
 

@@ -23,7 +23,6 @@ epsilon_target = 0.09
 seed = 7
 replicates = 3
 workers = 2
-out_dir = results
 """
 
 
@@ -36,7 +35,6 @@ class TestParsing:
         assert cfg.seed == 7
         assert cfg.replicates == 3
         assert cfg.workers == 2
-        assert cfg.out_dir == "results"
         # untouched defaults survive
         assert cfg.mcmc_steps == 1000
 
@@ -59,7 +57,7 @@ class TestParsing:
 
     def test_unknown_key(self):
         with pytest.raises(ConfigError, match="unknown config key"):
-            parse_config("sampler = reject\nbanana = 3\n", validate=False)
+            parse_config("sampler = reject\nbanana = 3\n")
         # the alpha lattice, the first-block rule, the init shrink factor,
         # the init batch cap, the mcmc proposal scale, quantile-mode
         # rejection, the move-probability stop and the iteration cap are
@@ -75,27 +73,33 @@ class TestParsing:
             "max_iters = 200",
         ):
             with pytest.raises(ConfigError, match="unknown config key"):
-                parse_config(f"sampler = self-calibrated\n{line}\n", validate=False)
+                parse_config(f"sampler = self-calibrated\n{line}\n")
 
     def test_missing_equals(self):
         with pytest.raises(ConfigError, match="key = value"):
-            parse_config("sampler reject\n", validate=False)
+            parse_config("sampler reject\n")
 
     def test_empty_value(self):
         with pytest.raises(ConfigError, match="empty value"):
-            parse_config("sampler =\n", validate=False)
+            parse_config("sampler =\n")
 
     def test_bad_int_and_float(self):
         with pytest.raises(ConfigError, match="integer"):
-            parse_config("n = 2.5\n", validate=False)
+            parse_config("n = 2.5\n")
         with pytest.raises(ConfigError, match="number"):
-            parse_config("epsilon_target = lots\n", validate=False)
+            parse_config("epsilon_target = lots\n")
 
-    def test_validate_false_defers(self):
-        cfg = parse_config("sampler = reject\n", validate=False)
-        assert cfg.seed is None
-        with pytest.raises(ConfigError):
+    def test_parsing_does_not_validate(self):
+        # ranges and requirements wait for validate_config, which the
+        # runner calls once the CLI has applied its flags
+        cfg = parse_config("sampler = reject\nworkers = 0\n")
+        assert cfg.seed is None and cfg.workers == 0
+        with pytest.raises(ConfigError, match="seed"):
             validate_config(cfg)
+
+    def test_repeated_key(self):
+        with pytest.raises(ConfigError, match="line 3: 'seed' already set on line 1"):
+            parse_config("seed = 1\nn = 5\nseed = 2\n")
 
     def test_load_config_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
@@ -109,14 +113,14 @@ class TestParsing:
     def test_to_dict_covers_all_fields(self):
         d = RunConfig().to_dict()
         assert "sampler" in d and "seed" in d and "workers" in d
-        assert len(d) == 12
+        assert len(d) == 11
 
     def test_every_field_has_a_parser(self):
         assert set(_PARSERS) == {f.name for f in fields(RunConfig)}
 
     def test_each_key_parses_as_its_type(self):
         keys_by_type = {
-            str: ("sampler", "model", "out_dir"),
+            str: ("sampler", "model"),
             int: ("n", "n_prior", "mcmc_steps", "replicates", "seed", "workers"),
             float: ("prior_halfwidth", "epsilon_target"),
             list: ("schedule",),
@@ -125,12 +129,12 @@ class TestParsing:
         assert sorted(k for keys in keys_by_type.values() for k in keys) == sorted(_PARSERS)
         for kind, keys in keys_by_type.items():
             for key in keys:
-                value = getattr(parse_config(f"{key} = 7\n", validate=False), key)
+                value = getattr(parse_config(f"{key} = 7\n"), key)
                 assert type(value) is kind and value == parsed[kind], key
 
     def test_unmapped_annotation_fails_at_import(self, monkeypatch):
         source = Path(config.__file__).read_text(encoding="utf-8")
-        source = source.replace('out_dir: str = "out"', 'out_dir: bytes = b"out"')
+        source = source.replace('model: str = "toy"', 'model: bytes = b"toy"')
         probe = types.ModuleType("abcsmc._config_probe")
         probe.__package__ = "abcsmc"
         monkeypatch.setitem(sys.modules, probe.__name__, probe)
@@ -151,6 +155,13 @@ class TestValidation:
         with pytest.raises(ConfigError, match="seed"):
             _cfg_bad = RunConfig(sampler="reject", n_prior=10, epsilon_target=0.5, seed=-1)
             validate_config(_cfg_bad)
+
+    def test_seed_fits_64_bits(self):
+        # a wider seed would replay the seed it wraps to: 2**64 is seed 0
+        text = "sampler = reject\nn_prior = 10\nepsilon_target = 0.5\n"
+        validate_config(parse_config(text + f"seed = {2**64 - 1}\n"))
+        with pytest.raises(ConfigError, match="seed"):
+            validate_config(parse_config(text + "seed = 18446744073709551616\n"))
 
     def test_unknown_sampler_and_model(self):
         with pytest.raises(ConfigError, match="sampler"):

@@ -1,6 +1,7 @@
 """The public surface: every exported name exists, and so does every
 name the benchmark's span tracer patches; importing the package stays
-light; no module keeps an import or a private name that nothing reads."""
+light; no module keeps an import or a private name that nothing reads;
+README lists every config key."""
 
 from __future__ import annotations
 
@@ -8,8 +9,10 @@ import ast
 import importlib
 import importlib.util
 import os
+import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import abcsmc
@@ -23,6 +26,14 @@ def test_all_exports_resolve():
     missing = [name for name in abcsmc.__all__ if not hasattr(abcsmc, name)]
     assert missing == []
     assert len(set(abcsmc.__all__)) == len(abcsmc.__all__)
+
+
+def test_readme_lists_every_config_key():
+    # README's CLI section names every RunConfig field, in field order, in
+    # one sentence that ends at the first semicolon
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    sentence = re.search(r"keys are all there is:([^;]*);", readme).group(1)
+    assert re.findall(r"`(\w+)`", sentence) == [f.name for f in fields(abcsmc.RunConfig)]
 
 
 SCIPY_LOADED = "[m for m in sys.modules if m.split('.')[0] == 'scipy']"

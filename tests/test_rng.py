@@ -330,3 +330,11 @@ def test_negative_indices_rejected():
         RngKey(0).child(-1)
     with pytest.raises(ValueError):
         RngKey(0).slot_keys(-3)
+
+
+def test_seed_outside_64_bits_rejected():
+    # masked into one word, 2**64 would replay seed 0 and -1 seed 2**64 - 1
+    for seed in (2**64, -1):
+        with pytest.raises(ValueError, match="seed"):
+            RngKey(seed)
+    assert RngKey(2**64 - 1).key_words().dtype == np.uint64

@@ -148,6 +148,22 @@ class TestRunExperiment:
         for name in ("particles_1.csv", "particles_2.csv", "trace_1.json", "trace_2.json"):
             assert _read(str(tmp_path / name)) == _read(str(out / name))
 
+    @pytest.mark.parametrize(
+        "kw, key",
+        [
+            (dict(sampler="reject", n_prior=10, seed=0), "epsilon_target"),
+            (dict(sampler="self-calibrated", n=100, epsilon_target=0.09), "seed"),
+            (dict(sampler="self-calibrated", n=100, epsilon_target=0.09, seed=0, workers=0),
+             "workers"),
+        ],
+        ids=["no-tolerance", "no-seed", "zero-workers"],
+    )
+    def test_invalid_config_fails_before_any_work(self, tmp_path, kw, key):
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError, match=key):
+            run_experiment(RunConfig(**kw), str(out))
+        assert not out.exists()
+
     def test_zero_replicates(self, tmp_path):
         cfg = _sc_cfg(replicates=0)
         output = run_experiment(cfg, str(tmp_path))
@@ -386,6 +402,13 @@ class TestGainCurve:
             assert float(row[3]) == rec["rho_hat"]
             assert int(row[4]) == k * cfg.n + rec["t"] * cfg.n
             assert int(row[6]) == stop
+
+    def test_invalid_config_fails_before_any_work(self, tmp_path):
+        cfg = RunConfig(sampler="self-calibrated", n=100, seed=0)
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError, match="epsilon_target"):
+            gain_curve(cfg, str(out))
+        assert not out.exists()
 
     def test_requires_self_calibrated(self, tmp_path):
         cfg = RunConfig(sampler="reject", n_prior=10, epsilon_target=0.2, seed=0)

@@ -42,7 +42,7 @@ from .oracle import (
     toy_posterior_pdf,
     toy_posterior_quantile,
 )
-from .resampling import ResamplePlan, residual_resample
+from .resampling import residual_resample
 from .rng import RngKey, StreamCursor
 from .runner import (
     ReplicateResult,
@@ -53,7 +53,6 @@ from .runner import (
 )
 from .samplers import (
     McmcKernelConfig,
-    RejectionResult,
     abc_reject,
     mcmc_abc_chain,
     mcmc_abc_step,
@@ -77,9 +76,7 @@ __all__ = [
     "ModelSpec",
     "Particle",
     "ParticleArray",
-    "RejectionResult",
     "ReplicateResult",
-    "ResamplePlan",
     "RngKey",
     "RunConfig",
     "RunTrace",

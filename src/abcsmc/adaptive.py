@@ -93,13 +93,13 @@ class InitResult:
 @dataclass
 class CalibrationOutcome:
     """Result of the alpha/rho co-calibration, including the cached
-    proposals (one per survivor slot) that the iteration reuses as its
-    first block of kernel moves."""
+    proposals (one per survivor slot, so ``len(proposals)`` is the
+    survivor count) that the iteration reuses as its first block of
+    kernel moves."""
 
     alpha: float
     epsilon: float
     rho_hat: float
-    n_block: int
     proposals: ParticleArray
 
 
@@ -343,7 +343,6 @@ def calibrate_alpha(
         alpha=a / ALPHA_GRID,
         epsilon=eps_prime,
         rho_hat=n_move / hi,
-        n_block=hi,
         proposals=props.take(np.arange(hi)),
     )
 
@@ -371,15 +370,15 @@ def smc_iteration(
     srt = array.sorted_by_dist()
 
     cal = calibrate_alpha(srt, sigma, model, key.child(_SUB_CALIBRATE), counter)
-    m = cal.n_block
+    m = len(cal.proposals)
     eps_t = cal.epsilon
 
-    plan = residual_resample(
+    assignment = residual_resample(
         np.full(m, 1.0 / m), n, key.child(_SUB_RESAMPLE).generator()
     )
-    if not np.array_equal(plan.assignment[:m], np.arange(m)):
+    if not np.array_equal(assignment[:m], np.arange(m)):
         raise AssertionError("resampling lost its leading-copy layout")
-    new_array = srt.take(plan.assignment)
+    new_array = srt.take(assignment)
 
     # slot m + j of the tail moves on stream child(_SUB_FRESH, m + j); its
     # rows are placeholders until the fresh proposals overwrite them

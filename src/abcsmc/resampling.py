@@ -1,7 +1,7 @@
 """Residual resampling with a fixed slot layout.
 
 The adaptive sampler reuses already-evaluated proposals for the first
-copy of every survivor, so the resampling plan must guarantee where
+copy of every survivor, so the resampling must guarantee where
 those first copies land: when every source receives at least one copy
 (always true for equally weighted survivors, our only in-algorithm
 use), slots ``0..m-1`` hold one in-order copy of each source.  Extra
@@ -11,31 +11,18 @@ multinomial draws in draw order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass(frozen=True)
-class ResamplePlan:
-    """Mapping of ``target_count`` slots onto ``source_count`` sources.
-
-    ``assignment[j]`` is the (0-based) source index copied into slot j.
-    Every source's total copy count is ``floor(N*w)`` or one more.
-    """
-
-    source_count: int
-    target_count: int
-    assignment: np.ndarray
-
-    def copy_counts(self) -> np.ndarray:
-        return np.bincount(self.assignment, minlength=self.source_count)
 
 
 def residual_resample(
     weights: np.ndarray, target_count: int, rng: np.random.Generator
-) -> ResamplePlan:
+) -> np.ndarray:
     """Residual-resample ``m`` weighted sources into ``target_count`` slots.
+
+    Returns the read-only assignment: entry j is the (0-based) source
+    index copied into slot j, and every source's copy count
+    (``np.bincount(assignment, minlength=m)``) is ``floor(N*w)`` or one
+    more.
 
     Each source first gets ``floor(N*w_i)`` deterministic copies; the
     remaining ``R`` slots are filled by multinomial draws over the
@@ -60,7 +47,7 @@ def residual_resample(
     counts = np.floor(expected).astype(np.int64)
     # Exact ratios like 1/m can land just below an integer in binary
     # floating point; snap those so e.g. equal weights with m == N give
-    # the identity plan rather than a spurious all-residual pass.
+    # the identity assignment rather than a spurious all-residual pass.
     nearest = np.rint(expected)
     snap = np.abs(expected - nearest) <= 1e-9 * max(N, 1)
     snapped = np.where(snap, nearest, counts).astype(np.int64)
@@ -93,6 +80,6 @@ def residual_resample(
         tail = residual_draws[keep]
     assignment = np.concatenate([first_block, extras, tail])
     if len(assignment) != N:  # internal consistency; cannot happen
-        raise AssertionError("resample plan did not fill every slot")
+        raise AssertionError("resampling did not fill every slot")
     assignment.setflags(write=False)
-    return ResamplePlan(source_count=m, target_count=N, assignment=assignment)
+    return assignment

@@ -49,7 +49,7 @@ def _mix(x: int) -> int:
 
 
 def _fold(h: int, w: int) -> int:
-    return _mix(h ^ _mix(w & _MASK))
+    return _mix(h ^ _mix(w))
 
 
 # the salts always enter _fold through the finalizer, so store them pre-mixed
@@ -72,15 +72,15 @@ class RngKey:
     path: tuple[int, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        # a seed outside one 64-bit word would alias the seed it wraps to
+        # a seed or path index outside one 64-bit word would alias the
+        # one it wraps to
         if not 0 <= self.seed <= _MASK:
             raise ValueError("seed must be in [0, 2**64)")
+        if not all(0 <= i <= _MASK for i in self.path):
+            raise ValueError("stream path indices must be in [0, 2**64)")
 
     def child(self, *indices: int) -> "RngKey":
         """Extend the path; each distinct path is an independent stream."""
-        for i in indices:
-            if i < 0:
-                raise ValueError("stream path indices must be non-negative")
         return RngKey(self.seed, self.path + tuple(int(i) for i in indices))
 
     def _hash_prefix(self) -> int:

@@ -19,7 +19,7 @@ import json
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -79,7 +79,11 @@ def _fmt(x) -> str:
 
 
 def run_replicate(cfg: RunConfig, replicate: int) -> ReplicateResult:
-    """Run the configured sampler once; randomness is (seed, replicate)-keyed."""
+    """Run the configured sampler once; randomness is (seed, replicate)-keyed.
+
+    An invalid config raises :class:`ConfigError` before any simulation.
+    """
+    validate_config(cfg)
     model = build_model(cfg)
     key = RngKey(cfg.seed).child(replicate)
     counter = SimCounter()
@@ -89,25 +93,24 @@ def run_replicate(cfg: RunConfig, replicate: int) -> ReplicateResult:
         particles, trace = run_self_calibrated(
             model, cfg.n, cfg.epsilon_target, key, counter=counter
         )
-    elif cfg.sampler == "reject":
-        res = abc_reject(
-            model, cfg.n_prior, key, epsilon=cfg.epsilon_target, counter=counter
-        )
-        particles = res.particles
+    elif cfg.sampler == "naive-smc":
+        particles, trace = naive_smc(model, cfg.n, cfg.schedule, key, counter)
+    else:
+        # rejection and the chain hold the tolerance from the start
+        config = {"sampler": cfg.sampler, "model": model.name, "n_prior": cfg.n_prior}
+        if cfg.sampler == "reject":
+            particles = abc_reject(model, cfg.n_prior, key, cfg.epsilon_target, counter)
+        else:
+            particles = _run_mcmc(cfg, model, key, counter)
+            config["mcmc_steps"] = cfg.mcmc_steps
         trace = RunTrace(
-            config={"sampler": "reject", "model": model.name, "n_prior": cfg.n_prior},
-            final_epsilon=res.epsilon,
+            config=config,
+            final_epsilon=float(cfg.epsilon_target),
             final_ess=ess_of_thetas(particles.thetas) if len(particles) else 0.0,
             target_reached=True,
             n_final=len(particles),
             sim_counts=counter.snapshot(),
         )
-    elif cfg.sampler == "naive-smc":
-        particles, trace = naive_smc(model, cfg.n, cfg.schedule, key, counter)
-    elif cfg.sampler == "mcmc":
-        particles, trace = _run_mcmc(cfg, model, key, counter)
-    else:
-        raise ConfigError(f"unknown sampler {cfg.sampler!r}")
 
     trace.config = {**trace.config, "replicate": replicate, "seed": cfg.seed}
     p = toy_accept_prob(trace.final_epsilon, cfg.prior_halfwidth)
@@ -121,46 +124,25 @@ def run_replicate(cfg: RunConfig, replicate: int) -> ReplicateResult:
 
 def _run_mcmc(
     cfg: RunConfig, model: ModelSpec, key: RngKey, counter: SimCounter
-) -> tuple[ParticleArray, RunTrace]:
+) -> ParticleArray:
     """Warm-start one kernel chain from the best rejection draw, with the
     proposal covariance scaled from all the warm-up particles.
 
     The chain output includes its start state (itself an exact
     tolerance-level draw), so the particle count is ``mcmc_steps + 1``.
     """
-    warm = abc_reject(
-        model, cfg.n_prior, key.child(0), epsilon=cfg.epsilon_target, counter=counter
-    )
-    if warm.empty:
+    warm = abc_reject(model, cfg.n_prior, key.child(0), cfg.epsilon_target, counter)
+    if len(warm) == 0:
         raise DegenerateArrayError(
             "warm-up rejection found no particle within the tolerance; "
             "increase n_prior or epsilon_target"
         )
     kernel = McmcKernelConfig(
-        sigma=proposal_scale(warm.particles.thetas), epsilon=cfg.epsilon_target
+        sigma=proposal_scale(warm.thetas), epsilon=cfg.epsilon_target
     )
-    chain = mcmc_abc_chain(
-        warm.particles.particle(0), cfg.mcmc_steps, kernel, model, key.child(1), counter
+    return mcmc_abc_chain(
+        warm.particle(0), cfg.mcmc_steps, kernel, model, key.child(1), counter
     )
-    particles = ParticleArray(
-        np.stack([s.theta for s in chain]),
-        np.stack([s.z for s in chain]),
-        np.array([s.dist for s in chain]),
-    )
-    trace = RunTrace(
-        config={
-            "sampler": "mcmc",
-            "model": model.name,
-            "n_prior": cfg.n_prior,
-            "mcmc_steps": cfg.mcmc_steps,
-        },
-        final_epsilon=float(cfg.epsilon_target),
-        final_ess=ess_of_thetas(particles.thetas),
-        target_reached=True,
-        n_final=len(particles),
-        sim_counts=counter.snapshot(),
-    )
-    return particles, trace
 
 
 def write_particles_csv(path: str, particles: ParticleArray) -> None:
@@ -219,15 +201,6 @@ def write_trace_json(path: str, trace: RunTrace) -> None:
     _write_json(path, trace.to_dict())
 
 
-def _write_replicate(out: str, res: ReplicateResult) -> list[str]:
-    """Write one replicate's particle and trace files; return their paths."""
-    p_path = os.path.join(out, f"particles_{res.replicate}.csv")
-    t_path = os.path.join(out, f"trace_{res.replicate}.json")
-    write_particles_csv(p_path, res.particles)
-    write_trace_json(t_path, res.trace)
-    return [p_path, t_path]
-
-
 def _outcome(cfg: RunConfig, replicate: int) -> ReplicateResult | Exception:
     """The replicate's result, or the exception it raised."""
     try:
@@ -261,7 +234,11 @@ def run_experiment(cfg: RunConfig, out_dir: str) -> ExperimentOutput:
 
     paths: list[str] = []
     for res in results:
-        paths += _write_replicate(out_dir, res)
+        p_path = os.path.join(out_dir, f"particles_{res.replicate}.csv")
+        t_path = os.path.join(out_dir, f"trace_{res.replicate}.json")
+        write_particles_csv(p_path, res.particles)
+        write_trace_json(t_path, res.trace)
+        paths += [p_path, t_path]
     for r, exc in failures:
         err_payload = {
             "replicate": r,
@@ -345,16 +322,14 @@ def gain_curve(cfg: RunConfig, out_dir: str) -> str:
     probability at the realized tolerance, by the K*N simulations spent.
     ``stop_iter`` repeats on every row: the iteration whose move
     probability tripped the stop rule, 0 when initialization already
-    reached the target, -1 when the run ended some other way.  The
-    config is validated before ``out_dir`` is created.
+    reached the target, -1 when the run ended some other way.  The run
+    goes through :func:`run_experiment`, so ``out_dir`` also gets its
+    particle, trace and summary files, or its ``.partial`` files when
+    the run fails; the config is validated before ``out_dir`` is created.
     """
-    validate_config(cfg)
     if cfg.sampler != "self-calibrated":
         raise ConfigError("gain-curve requires sampler = self-calibrated")
-    os.makedirs(out_dir, exist_ok=True)
-
-    res = run_replicate(cfg, 1)
-    _write_replicate(out_dir, res)
+    res = run_experiment(replace(cfg, replicates=1), out_dir).results[0]
 
     trace = res.trace
     init = trace.init

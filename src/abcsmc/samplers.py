@@ -125,37 +125,27 @@ def mcmc_abc_chain(
     model: ModelSpec,
     key: RngKey,
     counter=None,
-) -> list[Particle]:
+) -> ParticleArray:
     """Run the kernel ``n_steps`` times; at most ``n_steps`` simulations.
 
-    Step ``s`` draws from its own derived stream ``key.child(s)``.
+    The chain comes back with its start state first, ``n_steps + 1``
+    particles.  Step ``s`` draws from its own derived stream
+    ``key.child(s)``.
     """
     if init.dist > cfg.epsilon:
         raise ValueError("chain must start within the kernel tolerance")
     chain = [init]
-    if n_steps == 0:
-        return chain
     cursor = StreamCursor()
     step_keys = key.slot_keys(n_steps)
     state = init
     for s in range(n_steps):
         state = mcmc_abc_step(state, cfg, model, cursor.seek(step_keys[s]), counter).state
         chain.append(state)
-    return chain
-
-
-@dataclass
-class RejectionResult:
-    """Accepted particles (sorted ascending by distance) at the tolerance
-    ``epsilon``.  An empty result is valid."""
-
-    particles: ParticleArray
-    epsilon: float
-    n_prior: int
-
-    @property
-    def empty(self) -> bool:
-        return len(self.particles) == 0
+    return ParticleArray(
+        np.stack([p.theta for p in chain]),
+        np.stack([p.z for p in chain]),
+        np.array([p.dist for p in chain]),
+    )
 
 
 def abc_reject(
@@ -164,17 +154,17 @@ def abc_reject(
     key: RngKey,
     epsilon: float,
     counter=None,
-) -> RejectionResult:
+) -> ParticleArray:
     """Plain rejection: simulate ``n_prior`` prior-predictive particles and
-    keep those within the tolerance ``epsilon``."""
+    keep those within the tolerance ``epsilon``, sorted ascending by
+    distance.  An empty result is valid."""
     if n_prior < 1:
         raise ValueError("n_prior must be positive")
     if not epsilon >= 0:
         raise ValueError("tolerance must be non-negative, not NaN")
 
     pool = prior_predictive(model, n_prior, key, counter)
-    kept = pool.take(np.flatnonzero(pool.dists <= epsilon)).sorted_by_dist()
-    return RejectionResult(kept, float(epsilon), n_prior)
+    return pool.take(np.flatnonzero(pool.dists <= epsilon)).sorted_by_dist()
 
 
 def proposal_scale(thetas: np.ndarray) -> np.ndarray:
@@ -259,10 +249,10 @@ def naive_smc(
                 f"no particle within tolerance {eps_next} at schedule step {t}"
             )
         alpha_t = m / n
-        plan = residual_resample(
+        assignment = residual_resample(
             np.full(m, 1.0 / m), n, key.child(1, t, _SUB_RESAMPLE).generator()
         )
-        arr = srt.take(plan.assignment)
+        arr = srt.take(assignment)
 
         move_keys = key.child(1, t, _SUB_MOVE).slot_keys(n)
         moves = ParticleArray(

@@ -117,7 +117,7 @@ def correctness_runs(toy):
 
 
 def test_criterion_1_rejection_count(large_rejection_run):
-    count = len(large_rejection_run.particles)
+    count = len(large_rejection_run)
     ok = abs(count - 33_285) <= 600
     _verdict(
         1,
@@ -157,7 +157,7 @@ def test_criterion_3_posterior_correctness(toy, correctness_runs):
     assert trace.target_reached
     distinct = np.unique(final.thetas[:, 0])
     ref = abc_reject(toy, 500_000, RngKey(104), epsilon=TARGET_EPS)
-    p_ks = float(stats.ks_2samp(distinct, ref.particles.thetas[:, 0]).pvalue)
+    p_ks = float(stats.ks_2samp(distinct, ref.thetas[:, 0]).pvalue)
 
     # quartiles of the ABC posterior at the output's own tolerance
     q_oracle = {
@@ -190,21 +190,21 @@ def test_criterion_4_mcmc_invariance(toy):
     n_chains, n_steps = 10_000, 20
     init = abc_reject(toy, 1_500_000, RngKey(105), epsilon=TARGET_EPS)
     fresh = abc_reject(toy, 1_500_000, RngKey(106), epsilon=TARGET_EPS)
-    assert len(init.particles) >= n_chains
+    assert len(init) >= n_chains
     # an unbiased subset of the accepted draws (the array is distance
     # sorted, so a prefix would be biased toward the mode)
-    pick = RngKey(108).generator().permutation(len(init.particles))[:n_chains]
-    starts = init.particles.take(pick)
+    pick = RngKey(108).generator().permutation(len(init))[:n_chains]
+    starts = init.take(pick)
     cfg = McmcKernelConfig(
-        sigma=proposal_scale(init.particles.thetas), epsilon=TARGET_EPS
+        sigma=proposal_scale(init.thetas), epsilon=TARGET_EPS
     )
     ends = np.empty(n_chains)
     for i in range(n_chains):
         chain = mcmc_abc_chain(
             starts.particle(i), n_steps, cfg, toy, RngKey(107).child(i)
         )
-        ends[i] = chain[-1].theta[0]
-    p_ks = float(stats.ks_2samp(ends, fresh.particles.thetas[:, 0]).pvalue)
+        ends[i] = chain.thetas[-1, 0]
+    p_ks = float(stats.ks_2samp(ends, fresh.thetas[:, 0]).pvalue)
     ok = p_ks >= KS_LEVEL
     _verdict(
         4,
@@ -333,14 +333,14 @@ def test_criterion_9_property_umbrella(toy, tmp_path):
         w = g.random(m) + 0.01
         w /= w.sum()
         n = m + int(g.integers(0, 20))
-        plan = residual_resample(w, n, g)
-        counts = plan.copy_counts()
+        assignment = residual_resample(w, n, g)
+        counts = np.bincount(assignment, minlength=m)
         floors = np.floor(w * n + 1e-9).astype(int)
         resample_ok &= counts.sum() == n
         resample_ok &= bool(np.all(counts >= floors))
         survivors = np.flatnonzero(counts >= 1)
         resample_ok &= bool(
-            np.array_equal(plan.assignment[: len(survivors)], survivors)
+            np.array_equal(assignment[: len(survivors)], survivors)
         )
 
     thetas = np.array([[5.0], [5.0], [1.0], [3.0]])
@@ -351,10 +351,8 @@ def test_criterion_9_property_umbrella(toy, tmp_path):
 
     wide = abc_reject(toy, 20_000, RngKey(901), epsilon=1.0)
     narrow = abc_reject(toy, 20_000, RngKey(901), epsilon=0.25)
-    k = len(narrow.particles)
-    nested_ok = bool(
-        np.array_equal(narrow.particles.thetas, wide.particles.thetas[:k])
-    )
+    k = len(narrow)
+    nested_ok = bool(np.array_equal(narrow.thetas, wide.thetas[:k]))
 
     outs = []
     for workers in (1, 3):

@@ -284,14 +284,14 @@ def _calibrate_point_by_point(sorted_array, sigma, model, key, counter):
         n_move = int(np.count_nonzero(props.dists[:hi] <= eps))
         if a * hi + n_move * GRID >= GRID * hi:
             return CalibrationOutcome(
-                a / GRID, eps, n_move / hi, hi, props.take(np.arange(hi))
+                a / GRID, eps, n_move / hi, props.take(np.arange(hi))
             )
 
 
 class TestCalibrateAlpha:
     def test_cost_is_exactly_the_block(self, calibration):
         _, _, cal, counter = calibration
-        assert counter.total == cal.n_block
+        assert counter.total == len(cal.proposals)
 
     def test_alpha_on_grid(self, calibration):
         _, _, cal, _ = calibration
@@ -302,11 +302,11 @@ class TestCalibrateAlpha:
     def test_block_matches_alpha(self, calibration):
         res, _, cal, _ = calibration
         a = round(cal.alpha * GRID)
-        assert cal.n_block == (a * len(res.array)) // GRID
+        assert len(cal.proposals) == (a * len(res.array)) // GRID
 
     def test_epsilon_is_block_order_statistic(self, calibration):
         res, _, cal, _ = calibration
-        assert cal.epsilon == res.array.dists[cal.n_block - 1]
+        assert cal.epsilon == res.array.dists[len(cal.proposals) - 1]
 
     def test_stopping_inequality_holds(self, calibration):
         _, _, cal, _ = calibration
@@ -315,7 +315,7 @@ class TestCalibrateAlpha:
     def test_rho_recount_consistent_with_cache(self, calibration):
         _, _, cal, _ = calibration
         n_move = np.count_nonzero(cal.proposals.dists <= cal.epsilon)
-        assert cal.rho_hat == n_move / cal.n_block
+        assert cal.rho_hat == n_move / len(cal.proposals)
 
     def test_returned_alpha_is_minimal(self, calibration):
         # every smaller grid point must fail the stop test when its
@@ -337,8 +337,8 @@ class TestCalibrateAlpha:
         small = res.array.take(np.arange(50))
         sigma = proposal_scale(small.thetas)
         cal = calibrate_alpha(small, sigma, toy, RngKey(56))
-        assert cal.n_block >= 1
-        assert cal.n_block == (round(cal.alpha * GRID) * 50) // GRID
+        assert len(cal.proposals) >= 1
+        assert len(cal.proposals) == (round(cal.alpha * GRID) * 50) // GRID
 
     @pytest.mark.parametrize("n", [50, 150, 1000])
     @pytest.mark.parametrize(
@@ -363,9 +363,7 @@ class TestCalibrateAlpha:
         cal = calibrate_alpha(arr, sigma, model, RngKey(91), counter)
         n_skipping, calls[:] = len(calls), []
         ref = _calibrate_point_by_point(arr, sigma, model, RngKey(91), ref_counter)
-        assert (cal.alpha, cal.epsilon, cal.rho_hat, cal.n_block) == (
-            ref.alpha, ref.epsilon, ref.rho_hat, ref.n_block
-        )
+        assert (cal.alpha, cal.epsilon, cal.rho_hat) == (ref.alpha, ref.epsilon, ref.rho_hat)
         for f in ("thetas", "zs", "dists"):
             assert np.array_equal(getattr(cal.proposals, f), getattr(ref.proposals, f))
         assert counter.snapshot() == ref_counter.snapshot()
@@ -394,8 +392,8 @@ class TestOutOfBoxProposals:
         counter = SimCounter()
         cal = calibrate_alpha(arr, sigma, model, RngKey(71), counter)
         outside = np.abs(cal.proposals.thetas[:, 0]) > 0.1
-        assert np.count_nonzero(outside) >= 0.1 * cal.n_block
-        assert counter.total == cal.n_block
+        assert np.count_nonzero(outside) >= 0.1 * len(cal.proposals)
+        assert counter.total == len(cal.proposals)
         assert np.all(np.isinf(cal.proposals.dists[outside]))
         assert np.all(np.isfinite(cal.proposals.dists[~outside]))
         factor = proposal_factor(sigma)
@@ -452,7 +450,7 @@ class TestSmcIteration:
         cal = calibrate_alpha(srt, sigma, toy, RngKey(57).child(0))
         assert cal.epsilon == record.epsilon
         assert cal.alpha == record.alpha
-        m = cal.n_block
+        m = len(cal.proposals)
         accept = cal.proposals.dists <= cal.epsilon
         expect_head = np.where(
             accept[:, None], cal.proposals.thetas, srt.thetas[:m]
@@ -466,13 +464,13 @@ class TestSmcIteration:
         res, sigma, out, record, _ = one_step
         srt = res.array.sorted_by_dist()
         m = round(record.alpha * GRID) * 500 // GRID
-        plan = residual_resample(
+        assignment = residual_resample(
             np.full(m, 1.0 / m), 500, RngKey(57).child(1).generator()
         )
         factor = proposal_factor(sigma)
         moved = 0
         for j in range(m, 500):
-            source = srt.particle(plan.assignment[j])
+            source = srt.particle(assignment[j])
             g = RngKey(57).child(2, j).generator()
             theta_star = _draw_proposal(source.theta, factor, g)
             z_star = simulate(toy, theta_star, g)
@@ -659,7 +657,7 @@ class TestTwoParameters:
         final, trace, _ = serial[0]
         assert trace.target_reached
         assert np.all(final.dists <= self.EPS)
-        ref = abc_reject(self.MODEL, 200_000, RngKey(81), epsilon=self.EPS).particles
+        ref = abc_reject(self.MODEL, 200_000, RngKey(81), epsilon=self.EPS)
         distinct = np.unique(final.thetas, axis=0)
         for j in range(2):
             assert_ks_pass(distinct[:, j], ref.thetas[:, j])

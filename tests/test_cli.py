@@ -130,6 +130,23 @@ def test_gain_curve_command(cfg_file, tmp_path, capsys):
     printed = capsys.readouterr().out.strip()
     assert printed.endswith("gain_by_iter.csv")
     assert os.path.exists(printed)
+    # the run's own artifacts sit next to the curve, summary included
+    assert sorted(os.listdir(out)) == [
+        "gain_by_iter.csv", "particles_1.csv", "summary.csv", "trace_1.json"
+    ]
+
+
+def test_gain_curve_failure_keeps_partial_artifacts(tmp_path, capsys):
+    # in a box this narrow the first batch's parameter variance underflows to 0
+    cfg = tmp_path / "narrow.cfg"
+    cfg.write_text(CONFIG + "prior_halfwidth = 1e-300\n")
+    out = tmp_path / "curve"
+    assert main(["gain-curve", str(cfg), "--out", str(out)]) == EXIT_RUNTIME
+    printed = capsys.readouterr()
+    assert "run failed: DegenerateArrayError" in printed.err
+    written = [str(out / "trace_1.json.partial"), str(out / "summary.csv.partial")]
+    assert printed.out.splitlines() == written
+    assert sorted(os.listdir(out)) == sorted(os.path.basename(p) for p in written)
 
 
 def test_gain_curve_wrong_sampler(tmp_path):

@@ -1,7 +1,7 @@
 """The public surface: every exported name exists, and so does every
 name the benchmark's span tracer patches; importing the package stays
 light; no module keeps an import or a private name that nothing reads;
-README lists every config key."""
+README lists every config key and its Python examples run."""
 
 from __future__ import annotations
 
@@ -34,6 +34,15 @@ def test_readme_lists_every_config_key():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     sentence = re.search(r"keys are all there is:([^;]*);", readme).group(1)
     assert re.findall(r"`(\w+)`", sentence) == [f.name for f in fields(abcsmc.RunConfig)]
+
+
+def test_readme_python_examples_run():
+    # a stale example (a changed return type, a renamed argument) fails here
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, flags=re.S | re.M)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
 
 
 SCIPY_LOADED = "[m for m in sys.modules if m.split('.')[0] == 'scipy']"

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from abcsmc import RngKey, residual_resample
 
 
-def _plan(weights, target, seed=0):
+def _assignment(weights, target, seed=0):
     return residual_resample(
         np.asarray(weights, dtype=float), target, RngKey(seed).generator()
     )
@@ -19,30 +19,29 @@ def _plan(weights, target, seed=0):
 
 class TestDeterministicCases:
     def test_equal_weights_identity(self):
-        plan = _plan([0.25] * 4, 4)
-        assert plan.assignment.tolist() == [0, 1, 2, 3]
-        assert plan.copy_counts().tolist() == [1, 1, 1, 1]
+        a = _assignment([0.25] * 4, 4)
+        assert a.tolist() == [0, 1, 2, 3]
+        assert np.bincount(a, minlength=4).tolist() == [1, 1, 1, 1]
 
     def test_float_thirds_snap_to_integers(self):
-        # 3 * (1/3) is 0.9999999999999999 in floats; the plan must still
+        # 3 * (1/3) is 0.9999999999999999 in floats; the resampler must still
         # treat the expected counts as exactly one each
-        plan = _plan(np.full(3, 1.0 / 3.0), 3)
-        assert plan.copy_counts().tolist() == [1, 1, 1]
-        assert plan.assignment.tolist() == [0, 1, 2]
+        a = _assignment(np.full(3, 1.0 / 3.0), 3)
+        assert np.bincount(a, minlength=3).tolist() == [1, 1, 1]
+        assert a.tolist() == [0, 1, 2]
 
     def test_two_sources_into_four_slots(self):
-        plan = _plan([0.5, 0.5], 4)
-        assert plan.assignment.tolist() == [0, 1, 0, 1]
+        assert _assignment([0.5, 0.5], 4).tolist() == [0, 1, 0, 1]
 
     def test_exact_integer_expectations(self):
-        plan = _plan([0.5, 0.3, 0.2], 10)
-        assert plan.copy_counts().tolist() == [5, 3, 2]
-        assert plan.assignment.tolist() == [0, 1, 2, 0, 0, 0, 0, 1, 1, 2]
+        a = _assignment([0.5, 0.3, 0.2], 10)
+        assert np.bincount(a, minlength=3).tolist() == [5, 3, 2]
+        assert a.tolist() == [0, 1, 2, 0, 0, 0, 0, 1, 1, 2]
 
     def test_reproducible(self):
-        a = _plan([0.6, 0.25, 0.15], 7, seed=42)
-        b = _plan([0.6, 0.25, 0.15], 7, seed=42)
-        assert np.array_equal(a.assignment, b.assignment)
+        a = _assignment([0.6, 0.25, 0.15], 7, seed=42)
+        b = _assignment([0.6, 0.25, 0.15], 7, seed=42)
+        assert np.array_equal(a, b)
 
 
 @settings(max_examples=200, deadline=None)
@@ -54,12 +53,12 @@ class TestDeterministicCases:
 def test_plan_properties(raw, extra, seed):
     weights = np.array(raw) / np.sum(raw)
     n = len(weights) + extra
-    plan = residual_resample(weights, n, RngKey(seed).generator())
-    counts = plan.copy_counts()
+    assignment = residual_resample(weights, n, RngKey(seed).generator())
+    counts = np.bincount(assignment, minlength=len(weights))
 
-    assert plan.assignment.shape == (n,)
+    assert assignment.shape == (n,)
+    assert not assignment.flags.writeable
     assert counts.sum() == n
-    assert np.array_equal(counts, np.bincount(plan.assignment, minlength=len(weights)))
 
     # every count is its floor or one more (residual draws add at most
     # one per source only in aggregate; bound is floor + n_residual)
@@ -71,7 +70,7 @@ def test_plan_properties(raw, extra, seed):
 
     # the leading block is one copy of each surviving source, in index order
     survivors = np.flatnonzero(counts >= 1)
-    assert np.array_equal(plan.assignment[: len(survivors)], survivors)
+    assert np.array_equal(assignment[: len(survivors)], survivors)
 
 
 def test_unbiasedness():
@@ -80,7 +79,7 @@ def test_unbiasedness():
     g = RngKey(99).generator()
     totals = np.zeros(3)
     for _ in range(reps):
-        totals += residual_resample(weights, n, g).copy_counts()
+        totals += np.bincount(residual_resample(weights, n, g), minlength=3)
     means = totals / reps
     # only the single residual slot is random: counts are floor + Bernoulli,
     # so the se of each mean is at most 0.5 / sqrt(reps) = 0.005
@@ -90,20 +89,20 @@ def test_unbiasedness():
 class TestValidation:
     def test_negative_weight(self):
         with pytest.raises(ValueError):
-            _plan([0.5, -0.1, 0.6], 3)
+            _assignment([0.5, -0.1, 0.6], 3)
 
     def test_all_zero_weights(self):
         with pytest.raises(ValueError):
-            _plan([0.0, 0.0], 2)
+            _assignment([0.0, 0.0], 2)
 
     def test_more_sources_than_slots(self):
         with pytest.raises(ValueError, match="slots"):
-            _plan([0.25] * 4, 2)
+            _assignment([0.25] * 4, 2)
 
     def test_no_sources(self):
         with pytest.raises(ValueError):
-            _plan([], 3)
+            _assignment([], 3)
 
     def test_zero_target(self):
         with pytest.raises(ValueError):
-            _plan([1.0], 0)
+            _assignment([1.0], 0)

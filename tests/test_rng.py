@@ -338,3 +338,13 @@ def test_seed_outside_64_bits_rejected():
         with pytest.raises(ValueError, match="seed"):
             RngKey(seed)
     assert RngKey(2**64 - 1).key_words().dtype == np.uint64
+
+
+def test_path_index_outside_64_bits_rejected():
+    # folded into one word, index 2**64 would replay index 0 of its parent
+    for i in (2**64, 2**64 + 5):
+        with pytest.raises(ValueError, match="path"):
+            RngKey(0).child(i)
+        with pytest.raises(ValueError, match="path"):
+            RngKey(0, (3, i))
+    assert RngKey(0).child(2**64 - 1).key_words().dtype == np.uint64

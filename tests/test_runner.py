@@ -13,6 +13,7 @@ import pytest
 from abcsmc import (
     BudgetExceededError,
     ConfigError,
+    DegenerateArrayError,
     ParticleArray,
     RunConfig,
     ScheduleInfeasibleError,
@@ -342,6 +343,22 @@ class TestOtherSamplers:
         # warm-up pool plus at most one simulation per step
         assert 20_000 <= res.trace.total_sims <= 20_200
 
+    def test_rejection_keeping_nothing(self, tmp_path):
+        cfg = RunConfig(sampler="reject", n_prior=500, epsilon_target=0.0, seed=13)
+        run_experiment(cfg, str(tmp_path))
+        trace = json.loads(_read(str(tmp_path / "trace_1.json")))
+        assert (trace["n_final"], trace["final_ess"], trace["gain"]) == (0, 0.0, None)
+        assert trace["final_epsilon"] == 0.0 and trace["target_reached"]
+        assert _read(str(tmp_path / "particles_1.csv")) == "theta_1,z_1,dist,weight\n"
+
+    def test_mcmc_without_a_warm_start_fails(self, tmp_path):
+        cfg = RunConfig(sampler="mcmc", n_prior=500, epsilon_target=0.0, seed=13)
+        with pytest.raises(DegenerateArrayError, match="warm-up"):
+            run_experiment(cfg, str(tmp_path))
+        assert sorted(os.listdir(tmp_path)) == ["summary.csv.partial", "trace_1.json.partial"]
+        payload = json.loads(_read(str(tmp_path / "trace_1.json.partial")))
+        assert payload["error"]["type"] == "DegenerateArrayError"
+
 
 class TestTable1:
     def test_report_layout_and_rejection_cost(self, table1_run):
@@ -414,6 +431,11 @@ class TestGainCurve:
         cfg = RunConfig(sampler="reject", n_prior=10, epsilon_target=0.2, seed=0)
         with pytest.raises(ConfigError, match="self-calibrated"):
             gain_curve(cfg, str(tmp_path))
+
+
+def test_run_replicate_validates_its_config():
+    with pytest.raises(ConfigError, match="epsilon_target"):
+        run_replicate(RunConfig(sampler="reject", n_prior=10, seed=0), 1)
 
 
 def test_run_replicate_keyed_by_replicate():

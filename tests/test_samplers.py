@@ -66,12 +66,9 @@ class TestProposalScale:
 
 class TestAbcReject:
     def test_epsilon_mode_sorted_within_tolerance(self, toy):
-        res = abc_reject(toy, 20_000, RngKey(11), epsilon=0.5)
-        d = res.particles.dists
+        d = abc_reject(toy, 20_000, RngKey(11), epsilon=0.5).dists
         assert np.all(d <= 0.5)
         assert np.all(np.diff(d) >= 0)
-        assert res.epsilon == 0.5
-        assert res.n_prior == 20_000
 
     def test_nan_tolerance_raises(self, toy):
         # nothing is within a NaN tolerance, so it must not pass as an
@@ -84,8 +81,8 @@ class TestAbcReject:
         # at a smaller tolerance is exactly a prefix of the larger one
         wide = abc_reject(toy, 5000, RngKey(14), epsilon=1.0)
         narrow = abc_reject(toy, 5000, RngKey(14), epsilon=0.25)
-        k = len(narrow.particles)
-        assert np.array_equal(narrow.particles.thetas, wide.particles.thetas[:k])
+        k = len(narrow)
+        assert np.array_equal(narrow.thetas, wide.thetas[:k])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_summary_aborts(self, bad):
@@ -101,8 +98,7 @@ class TestAbcReject:
             abc_reject(model, 1000, RngKey(18), epsilon=0.5)
 
     def test_empty_acceptance_is_allowed(self, toy):
-        res = abc_reject(toy, 10, RngKey(15), epsilon=1e-12)
-        assert len(res.particles) == 0
+        assert len(abc_reject(toy, 10, RngKey(15), epsilon=1e-12)) == 0
 
     def test_counter_counts_all_prior_draws(self, toy):
         counter = SimCounter()
@@ -110,8 +106,7 @@ class TestAbcReject:
         assert counter.total == 777
 
     def test_matches_oracle_posterior(self, toy):
-        res = abc_reject(toy, 200_000, RngKey(17), epsilon=0.09)
-        th = res.particles.thetas[:, 0]
+        th = abc_reject(toy, 200_000, RngKey(17), epsilon=0.09).thetas[:, 0]
         assert len(th) > 1000
         from scipy import stats
 
@@ -120,8 +115,7 @@ class TestAbcReject:
 
 class TestMcmcKernel:
     def _start(self, toy, key=RngKey(20)):
-        res = abc_reject(toy, 50_000, key, epsilon=0.09)
-        arr = res.particles
+        arr = abc_reject(toy, 50_000, key, epsilon=0.09)
         return Particle(arr.thetas[0], arr.zs[0], float(arr.dists[0])), arr
 
     def test_step_requires_valid_state(self, toy):
@@ -161,8 +155,9 @@ class TestMcmcKernel:
         counter = SimCounter()
         chain = mcmc_abc_chain(start, 250, cfg, toy, RngKey(22), counter)
         assert len(chain) == 251  # start state plus one per step
+        assert np.array_equal(chain.thetas[0], start.theta) and chain.dists[0] == start.dist
         assert counter.total <= 250
-        assert all(p.dist <= 0.09 for p in chain)
+        assert np.all(chain.dists <= 0.09)
 
     def test_rejected_step_returns_proposal(self, toy):
         start, _ = self._start(toy)
@@ -175,8 +170,7 @@ class TestMcmcKernel:
         # the tolerance posterior must be preserved: start 2000 chains
         # from rejection draws, run a few steps, compare endpoints with
         # an independent rejection sample
-        res = abc_reject(toy, 300_000, RngKey(24), epsilon=0.09)
-        arr = res.particles
+        arr = abc_reject(toy, 300_000, RngKey(24), epsilon=0.09)
         assert len(arr) >= 2000
         sigma = proposal_scale(arr.thetas)
         ends = np.empty(2000)
@@ -184,16 +178,16 @@ class TestMcmcKernel:
             cfg = McmcKernelConfig(sigma=sigma, epsilon=0.09)
             start = Particle(arr.thetas[i], arr.zs[i], float(arr.dists[i]))
             chain = mcmc_abc_chain(start, 5, cfg, toy, RngKey(25).child(i))
-            ends[i] = chain[-1].theta[0]
+            ends[i] = chain.thetas[-1, 0]
         ref = abc_reject(toy, 300_000, RngKey(26), epsilon=0.09)
-        assert_ks_pass(ends, ref.particles.thetas[:, 0])
+        assert_ks_pass(ends, ref.thetas[:, 0])
 
     def test_long_chain_thinned_matches_oracle(self, toy):
         start, arr = self._start(toy, RngKey(27))
         sigma = np.array([[4.0 * 0.505]])  # twice the posterior-scale variance
         cfg = McmcKernelConfig(sigma=sigma, epsilon=0.09)
         chain = mcmc_abc_chain(start, 100_000, cfg, toy, RngKey(28))
-        th = np.array([p.theta[0] for p in chain])
+        th = chain.thetas[:, 0]
         thinned = th[1000::100]  # burn-in then thin to near-independence
         from scipy import stats
 
@@ -228,7 +222,7 @@ class TestNaiveSmc:
         distinct = np.unique(arr.thetas[:, 0])
         assert len(distinct) > 500
         ref = abc_reject(toy, 400_000, RngKey(34), epsilon=0.09)
-        assert_ks_pass(distinct, ref.particles.thetas[:, 0])
+        assert_ks_pass(distinct, ref.thetas[:, 0])
 
     def test_cost_at_most_n_per_iteration(self, toy):
         n = 2000
@@ -267,12 +261,12 @@ def _naive_smc_by_kernel_steps(model, n, schedule, key):
         cfg = McmcKernelConfig(sigma=proposal_scale(arr.thetas), epsilon=eps)
         srt = arr.sorted_by_dist()
         m = int(np.searchsorted(srt.dists, eps, side="right"))
-        plan = residual_resample(
+        assignment = residual_resample(
             np.full(m, 1.0 / m), n, key.child(1, t, 0).generator()
         )
         steps = [
             mcmc_abc_step(
-                srt.particle(plan.assignment[j]), cfg, model,
+                srt.particle(assignment[j]), cfg, model,
                 key.child(1, t, 1, j).generator(),
             )
             for j in range(n)

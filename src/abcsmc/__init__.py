@@ -12,6 +12,8 @@ from .adaptive import (
     InitResult,
     calibrate_alpha,
     init_stage,
+    proposal_factor,
+    proposal_scale,
     run_self_calibrated,
     smc_iteration,
 )
@@ -57,8 +59,6 @@ from .samplers import (
     mcmc_abc_chain,
     mcmc_abc_step,
     naive_smc,
-    proposal_factor,
-    proposal_scale,
 )
 from .trace import IterationRecord, RunTrace, SimCounter
 

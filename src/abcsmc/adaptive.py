@@ -27,7 +27,9 @@ model with a batch simulator, the first ``p + draws_per_slot`` Philox
 words of every slot of the stage are computed at once, and each run of
 slots is one block call on :class:`SlotStreams` over them, which
 reproduces those Generator draws bit for bit; a model without one draws
-slot by slot from the Generators.
+slot by slot from the Generators.  The kernel-move layer lives here:
+the proposal scale and factor, one slot's draw, block proposals, and
+the resample-and-move step that fixed-schedule SMC shares.
 """
 
 from __future__ import annotations
@@ -51,7 +53,6 @@ from .model import (
 )
 from .resampling import residual_resample
 from .rng import RngKey, SlotStreams, StreamCursor, philox_words
-from .samplers import _draw_proposal, proposal_factor, proposal_scale
 from .trace import IterationRecord, RunTrace, SimCounter
 
 PHASE_INIT = "init"
@@ -107,6 +108,50 @@ def _det_var(cov: np.ndarray) -> float:
     """Determinant of an unbiased ``np.cov(thetas, rowvar=False)``, which
     is 0-d for one parameter."""
     return float(np.linalg.det(np.atleast_2d(cov)))
+
+
+def proposal_factor(sigma: np.ndarray) -> np.ndarray:
+    """Matrix A with A A' = sigma, valid for any symmetric PSD sigma."""
+    sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
+    if sigma.shape[0] != sigma.shape[1]:
+        raise ValueError("proposal covariance must be square")
+    if not np.allclose(sigma, sigma.T):
+        raise ValueError("proposal covariance must be symmetric")
+    vals, vecs = np.linalg.eigh(sigma)
+    if np.any(vals < -1e-10 * max(1.0, float(vals.max(initial=0.0)))):
+        raise ValueError("proposal covariance must be positive semidefinite")
+    return vecs * np.sqrt(np.clip(vals, 0.0, None))
+
+
+def proposal_scale(thetas: np.ndarray) -> np.ndarray:
+    """Proposal covariance: twice the unbiased empirical covariance.
+
+    A tiny ridge is added if the covariance is singular; fewer than two
+    distinct parameter vectors cannot scale a proposal at all.
+    """
+    thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
+    if thetas.ndim != 2:
+        raise ValueError("expected a (n, p) collection of parameter vectors")
+    n, p = thetas.shape
+    if n < 2 or bool(np.all(thetas == thetas[0])):
+        raise DegenerateArrayError(
+            "need at least two distinct parameter vectors for a proposal scale"
+        )
+    cov = np.atleast_2d(np.cov(thetas, rowvar=False, ddof=1))
+    sigma = 2.0 * cov
+    if np.linalg.det(sigma) <= 0.0:
+        ridge = 1e-12 * np.trace(sigma) / p
+        sigma = sigma + ridge * np.eye(p)
+    return sigma
+
+
+def _draw_proposal(
+    theta: np.ndarray, factor: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    p = len(theta)
+    if p == 1:
+        return np.array([theta[0] + factor[0, 0] * rng.standard_normal()])
+    return theta + factor @ rng.standard_normal(p)
 
 
 def _stage_streams(model: ModelSpec, keys: np.ndarray) -> SlotStreams | None:
@@ -183,6 +228,42 @@ def _propose(
         d_star[~inside] = np.inf
         zs[lo:hi] = z_star
         dists[lo:hi] = d_star
+
+
+def _move_step(
+    model, srt, m, epsilon, factor, resample_rng, key, counter, made=None, defer=False
+) -> tuple[ParticleArray, int]:
+    """Resample the first ``m`` particles of ``srt`` to its ``n`` slots and
+    move every slot once; returns the moved array and its accepted count.
+
+    The ``m`` survivors are residual-resampled with equal weights on
+    ``resample_rng``, so slots ``[0, m)`` hold one in-order copy of each.
+    ``made`` holds proposals already made for slots ``[0, k)``, ``k =
+    len(made)``; each slot ``j`` in ``[k, n)`` proposes from its copy on
+    stream ``key.child(j)`` through :func:`_propose` (with ``defer``).  A
+    proposal within ``epsilon`` is written over its slot.
+    """
+    n = len(srt)
+    assignment = residual_resample(np.full(m, 1.0 / m), n, resample_rng)
+    if not np.array_equal(assignment[:m], np.arange(m)):
+        raise AssertionError("resampling lost its leading-copy layout")
+    arr = srt.take(assignment)
+
+    k = 0 if made is None else len(made)
+    keys = key.slot_keys(n, start=k)
+    fresh = ParticleArray(
+        np.empty_like(arr.thetas[k:]), np.empty_like(arr.zs[k:]), np.empty(n - k)
+    )
+    _propose(
+        model, arr.thetas[k:], factor, keys, _stage_streams(model, keys), 0, n - k,
+        fresh, counter, defer=defer,
+    )
+    moves = fresh if made is None else made.concat(fresh)
+    accept = moves.dists <= epsilon
+    arr.thetas[accept] = moves.thetas[accept]
+    arr.zs[accept] = moves.zs[accept]
+    arr.dists[accept] = moves.dists[accept]
+    return arr, int(np.count_nonzero(accept))
 
 
 def init_stage(
@@ -364,40 +445,20 @@ def smc_iteration(
     remaining slots resample a survivor and try one fresh kernel move at
     the same proposal scale, keeping the resampled source on rejection.
     """
-    n = len(array)
     counter = counter if counter is not None else SimCounter()
     sims_before = counter.total
     srt = array.sorted_by_dist()
 
     cal = calibrate_alpha(srt, sigma, model, key.child(_SUB_CALIBRATE), counter)
-    m = len(cal.proposals)
-    eps_t = cal.epsilon
-
-    assignment = residual_resample(
-        np.full(m, 1.0 / m), n, key.child(_SUB_RESAMPLE).generator()
+    new_array, _ = _move_step(
+        model, srt, len(cal.proposals), cal.epsilon, proposal_factor(sigma),
+        key.child(_SUB_RESAMPLE).generator(), key.child(_SUB_FRESH), counter,
+        made=cal.proposals,
     )
-    if not np.array_equal(assignment[:m], np.arange(m)):
-        raise AssertionError("resampling lost its leading-copy layout")
-    new_array = srt.take(assignment)
-
-    # slot m + j of the tail moves on stream child(_SUB_FRESH, m + j); its
-    # rows are placeholders until the fresh proposals overwrite them
-    fresh = new_array.take(np.arange(m, n))
-    keys = key.child(_SUB_FRESH).slot_keys(n, start=m)
-    _propose(
-        model, new_array.thetas[m:], proposal_factor(sigma), keys,
-        _stage_streams(model, keys), 0, n - m, fresh, counter,
-    )
-    moves = cal.proposals.concat(fresh)
-    accept = moves.dists <= eps_t
-    new_array.thetas[accept] = moves.thetas[accept]
-    new_array.zs[accept] = moves.zs[accept]
-    new_array.dists[accept] = moves.dists[accept]
-
     distinct, ess = distinct_and_ess(new_array.thetas)
     record = IterationRecord(
         t=t,
-        epsilon=eps_t,
+        epsilon=cal.epsilon,
         alpha=cal.alpha,
         rho_hat=cal.rho_hat,
         sims_used=counter.total - sims_before,

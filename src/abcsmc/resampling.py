@@ -71,13 +71,8 @@ def residual_resample(
     extras = np.repeat(np.arange(m), np.maximum(counts - 1, 0))
     tail = residual_draws
     if residual_draws.size and np.any(counts == 0):
-        keep = np.ones(len(residual_draws), dtype=bool)
-        debt = counts == 0
-        for j, i in enumerate(residual_draws):
-            if debt[i]:
-                debt[i] = False
-                keep[j] = False
-        tail = residual_draws[keep]
+        drawn, first = np.unique(residual_draws, return_index=True)
+        tail = np.delete(residual_draws, first[counts[drawn] == 0])
     assignment = np.concatenate([first_block, extras, tail])
     if len(assignment) != N:  # internal consistency; cannot happen
         raise AssertionError("resampling did not fill every slot")

@@ -61,9 +61,16 @@ class ExperimentOutput:
 
 
 def build_model(cfg: RunConfig) -> ModelSpec:
-    if cfg.model == "toy":
-        return toy_model(cfg.prior_halfwidth)
-    raise ConfigError(f"unknown model {cfg.model!r}")
+    """The model of a validated config: the toy model is the only one
+    :func:`validate_config` accepts."""
+    return toy_model(cfg.prior_halfwidth)
+
+
+def _gain(sims: int, ess: float, epsilon: float, halfwidth: float) -> float | None:
+    """Gain against rejection at ``epsilon``; None when the toy model's
+    acceptance probability or the simulation count is 0."""
+    p = toy_accept_prob(epsilon, halfwidth)
+    return gain_factor(sims, ess, p) if p > 0.0 and sims > 0 else None
 
 
 def _fmt(x) -> str:
@@ -113,11 +120,9 @@ def run_replicate(cfg: RunConfig, replicate: int) -> ReplicateResult:
         )
 
     trace.config = {**trace.config, "replicate": replicate, "seed": cfg.seed}
-    p = toy_accept_prob(trace.final_epsilon, cfg.prior_halfwidth)
-    if p > 0.0 and trace.total_sims > 0:
-        trace.gain = gain_factor(trace.total_sims, trace.final_ess, p)
-    else:
-        trace.gain = None
+    trace.gain = _gain(
+        trace.total_sims, trace.final_ess, trace.final_epsilon, cfg.prior_halfwidth
+    )
     wall_ms = (time.perf_counter() - started) * 1000.0
     return ReplicateResult(replicate, trace, particles, wall_ms)
 
@@ -336,20 +341,16 @@ def gain_curve(cfg: RunConfig, out_dir: str) -> str:
     k_batches = init["batches_used"]
     stop_iter = trace.stop_iter if trace.stop_iter is not None else -1
 
-    def gain_at(ess: float, eps: float, cum_sims: int) -> float:
-        p = toy_accept_prob(eps, cfg.prior_halfwidth)
-        return gain_factor(cum_sims, ess, p) if p > 0.0 else float("nan")
-
     cum = k_batches * cfg.n
     rows = [
         [0, init["epsilon0"], 1.0 / k_batches, None, cum,
-         gain_at(init["ess"], init["epsilon0"], cum), stop_iter]
+         _gain(cum, init["ess"], init["epsilon0"], cfg.prior_halfwidth), stop_iter]
     ]
     for rec in trace.iterations:
         cum = k_batches * cfg.n + rec.t * cfg.n
         rows.append(
             [rec.t, rec.epsilon, rec.alpha, rec.rho_hat, cum,
-             gain_at(rec.ess, rec.epsilon, cum), stop_iter]
+             _gain(cum, rec.ess, rec.epsilon, cfg.prior_halfwidth), stop_iter]
         )
 
     curve_path = os.path.join(out_dir, "gain_by_iter.csv")

@@ -15,8 +15,11 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .adaptive import (
+    _draw_proposal, _move_step, _prior_stage, proposal_factor, proposal_scale
+)
 from .diagnostics import distinct_and_ess
-from .errors import DegenerateArrayError, ScheduleInfeasibleError
+from .errors import ScheduleInfeasibleError
 from .model import (
     PHASE_PRIOR,
     ModelSpec,
@@ -26,7 +29,6 @@ from .model import (
     prior_predictive,
     simulate,
 )
-from .resampling import residual_resample
 from .rng import RngKey, StreamCursor
 from .trace import IterationRecord, RunTrace, SimCounter
 
@@ -35,19 +37,6 @@ PHASE_MCMC = "mcmc"
 # stream sub-indices within one naive-SMC iteration
 _SUB_RESAMPLE = 0
 _SUB_MOVE = 1
-
-
-def proposal_factor(sigma: np.ndarray) -> np.ndarray:
-    """Matrix A with A A' = sigma, valid for any symmetric PSD sigma."""
-    sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
-    if sigma.shape[0] != sigma.shape[1]:
-        raise ValueError("proposal covariance must be square")
-    if not np.allclose(sigma, sigma.T):
-        raise ValueError("proposal covariance must be symmetric")
-    vals, vecs = np.linalg.eigh(sigma)
-    if np.any(vals < -1e-10 * max(1.0, float(vals.max(initial=0.0)))):
-        raise ValueError("proposal covariance must be positive semidefinite")
-    return vecs * np.sqrt(np.clip(vals, 0.0, None))
 
 
 @dataclass(frozen=True)
@@ -85,15 +74,6 @@ class StepResult(NamedTuple):
     state: Particle
     moved: bool
     proposal: ProposalOutcome
-
-
-def _draw_proposal(
-    theta: np.ndarray, factor: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
-    p = len(theta)
-    if p == 1:
-        return np.array([theta[0] + factor[0, 0] * rng.standard_normal()])
-    return theta + factor @ rng.standard_normal(p)
 
 
 def mcmc_abc_step(
@@ -167,28 +147,6 @@ def abc_reject(
     return pool.take(np.flatnonzero(pool.dists <= epsilon)).sorted_by_dist()
 
 
-def proposal_scale(thetas: np.ndarray) -> np.ndarray:
-    """Proposal covariance: twice the unbiased empirical covariance.
-
-    A tiny ridge is added if the covariance is singular; fewer than two
-    distinct parameter vectors cannot scale a proposal at all.
-    """
-    thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-    if thetas.ndim != 2:
-        raise ValueError("expected a (n, p) collection of parameter vectors")
-    n, p = thetas.shape
-    if n < 2 or bool(np.all(thetas == thetas[0])):
-        raise DegenerateArrayError(
-            "need at least two distinct parameter vectors for a proposal scale"
-        )
-    cov = np.atleast_2d(np.cov(thetas, rowvar=False, ddof=1))
-    sigma = 2.0 * cov
-    if np.linalg.det(sigma) <= 0.0:
-        ridge = 1e-12 * np.trace(sigma) / p
-        sigma = sigma + ridge * np.eye(p)
-    return sigma
-
-
 def naive_smc(
     model: ModelSpec,
     n: int,
@@ -203,22 +161,20 @@ def naive_smc(
     The first array is n prior-predictive draws on streams
     ``key.child(0, j)``, drawn like an initialization batch of the
     self-calibrated sampler.  The proposal covariance for iteration t
-    comes from the array as it stood before the iteration.  Each step's
-    moves are one block, the self-calibrated sampler's kernel-move
-    primitive: slot j proposes from its resampled particle on stream
+    comes from the array as it stood before the iteration.  Each step is
+    the self-calibrated sampler's move step with no cached proposals:
+    the within-tolerance prefix is resampled on stream
+    ``key.child(1, t, 0)``, slot j proposes from its copy on stream
     ``key.child(1, t, 1, j)``, and the proposal replaces the particle
-    when it is in the box and within the tolerance.  Out-of-box proposals are deferred, neither simulated nor
-    counted, so a step costs at most n simulations, booked as
-    ``iteration`` simulations.  With a batch simulator the first array
-    and each step's block draw every slot from its Philox words at once;
-    otherwise slot by slot from its Generator, with the same results
-    either way.  The trace records the run's settings; a run that
-    returns has reached the schedule's last tolerance with all n
-    particles.
+    when it is in the box and within the tolerance.  Out-of-box
+    proposals are deferred, neither simulated nor counted, so a step
+    costs at most n simulations, booked as ``iteration`` simulations.
+    With a batch simulator the first array and each step's block draw
+    every slot from its Philox words at once; otherwise slot by slot
+    from its Generator, with the same results either way.  The trace
+    records the run's settings; a run that returns has reached the
+    schedule's last tolerance with all n particles.
     """
-    # a function-level import: adaptive imports this module
-    from .adaptive import _prior_stage, _propose, _stage_streams
-
     sched = [float(e) for e in schedule]
     if len(sched) == 0:
         raise ValueError("schedule must not be empty")
@@ -248,32 +204,18 @@ def naive_smc(
             raise ScheduleInfeasibleError(
                 f"no particle within tolerance {eps_next} at schedule step {t}"
             )
-        alpha_t = m / n
-        assignment = residual_resample(
-            np.full(m, 1.0 / m), n, key.child(1, t, _SUB_RESAMPLE).generator()
-        )
-        arr = srt.take(assignment)
-
-        move_keys = key.child(1, t, _SUB_MOVE).slot_keys(n)
-        moves = ParticleArray(
-            np.empty_like(arr.thetas), np.empty_like(arr.zs), np.empty(n)
-        )
         sims_before = counter.total
-        _propose(
-            model, arr.thetas, factor, move_keys, _stage_streams(model, move_keys),
-            0, n, moves, counter, defer=True,
+        arr, accepted = _move_step(
+            model, srt, m, eps_next, factor, key.child(1, t, _SUB_RESAMPLE).generator(),
+            key.child(1, t, _SUB_MOVE), counter, defer=True,
         )
-        accept = moves.dists <= eps_next
-        arr.thetas[accept] = moves.thetas[accept]
-        arr.zs[accept] = moves.zs[accept]
-        arr.dists[accept] = moves.dists[accept]
         distinct, ess = distinct_and_ess(arr.thetas)
         trace.iterations.append(
             IterationRecord(
                 t=t,
                 epsilon=eps_next,
-                alpha=alpha_t,
-                rho_hat=int(np.count_nonzero(accept)) / n,
+                alpha=m / n,
+                rho_hat=accepted / n,
                 sims_used=counter.total - sims_before,
                 distinct_count=distinct,
                 ess=ess,

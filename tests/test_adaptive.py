@@ -36,9 +36,8 @@ from abcsmc import (
     toy_model,
 )
 from abcsmc import adaptive
-from abcsmc.adaptive import _propose, _stage_streams
+from abcsmc.adaptive import _draw_proposal, _propose, _stage_streams
 from abcsmc.rng import StreamCursor, philox_words
-from abcsmc.samplers import _draw_proposal
 from conftest import TOY_2D, BumpLog, assert_ks_pass, one_word, scalar_only
 
 GRID = 100

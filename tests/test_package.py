@@ -1,6 +1,7 @@
 """The public surface: every exported name exists, and so does every
 name the benchmark's span tracer patches; importing the package stays
-light; no module keeps an import or a private name that nothing reads;
+light; no module keeps an import or a private name that nothing reads,
+and every import in the package runs at module level;
 README lists every config key and its Python examples run."""
 
 from __future__ import annotations
@@ -152,6 +153,36 @@ def test_modules_use_what_they_import():
 def test_unused_import_check_flags_a_stray_name():
     source = "import json\nimport numpy as np\nfrom .x import A, B\n\ndef f(a: 'A'):\n    return np\n"
     assert _unused_imports(source) == ["json (line 1)", "B (line 3)"]
+
+
+def _nested_imports(source: str) -> list[int]:
+    """Lines of the import statements inside a function or class body."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            lines.update(
+                inner.lineno for inner in ast.walk(node)
+                if isinstance(inner, (ast.Import, ast.ImportFrom))
+            )
+    return sorted(lines)
+
+
+def test_package_imports_at_module_level():
+    # an import made at call time hides a cycle between two modules
+    nested = {
+        path.name: lines
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (lines := _nested_imports(path.read_text(encoding="utf-8")))
+    }
+    assert nested == {}
+
+
+def test_nested_import_check_flags_a_call_time_import():
+    source = (
+        "import os\nif os.name:\n    import json\n\ndef f():\n"
+        "    from .x import y\n    return y\n\nclass C:\n    import re\n"
+    )
+    assert _nested_imports(source) == [6, 10]
 
 
 def _private_definitions(source: str) -> dict[str, int]:

@@ -44,6 +44,35 @@ class TestDeterministicCases:
         assert np.array_equal(a, b)
 
 
+class _RecordingRng:
+    """A Generator that keeps the residual draws it hands out."""
+
+    def __init__(self, seed):
+        self.g = RngKey(seed).generator()
+        self.draws = np.empty(0, dtype=np.int64)
+
+    def choice(self, *args, **kwargs):
+        self.draws = self.g.choice(*args, **kwargs)
+        return self.draws
+
+
+def _layout(deterministic, draws):
+    """The documented slot layout, with its tail built by the loop the
+    vectorised form replaced: a residual draw that gives a source with
+    no deterministic copy its first copy leaves the tail."""
+    m = len(deterministic)
+    survivors = np.flatnonzero(deterministic + np.bincount(draws, minlength=m) >= 1)
+    extras = np.repeat(np.arange(m), np.maximum(deterministic - 1, 0))
+    debt = deterministic == 0
+    tail = []
+    for i in draws:
+        if debt[i]:
+            debt[i] = False
+        else:
+            tail.append(i)
+    return np.concatenate([survivors, extras, np.array(tail, dtype=np.int64)])
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     raw=st.lists(st.floats(0.01, 100.0), min_size=1, max_size=12),
@@ -53,7 +82,8 @@ class TestDeterministicCases:
 def test_plan_properties(raw, extra, seed):
     weights = np.array(raw) / np.sum(raw)
     n = len(weights) + extra
-    assignment = residual_resample(weights, n, RngKey(seed).generator())
+    rng = _RecordingRng(seed)
+    assignment = residual_resample(weights, n, rng)
     counts = np.bincount(assignment, minlength=len(weights))
 
     assert assignment.shape == (n,)
@@ -71,6 +101,8 @@ def test_plan_properties(raw, extra, seed):
     # the leading block is one copy of each surviving source, in index order
     survivors = np.flatnonzero(counts >= 1)
     assert np.array_equal(assignment[: len(survivors)], survivors)
+    deterministic = counts - np.bincount(rng.draws, minlength=len(weights))
+    assert np.array_equal(assignment, _layout(deterministic, rng.draws))
 
 
 def test_unbiasedness():

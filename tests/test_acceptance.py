@@ -231,7 +231,9 @@ def test_criterion_5_budget_exactness(full_scale_calibrated_runs, correctness_ru
     )
 
 
-def test_criterion_6_distinct_count_bound(toy):
+def criterion_6_distinct_count(toy) -> tuple[bool, float, str]:
+    """Criterion 6's check: the verdict, the worst margin and the detail
+    of its line; ``tests/test_mutants.py`` runs it on broken samplers."""
     n = 2000
     reps = 50
     runs = []
@@ -254,12 +256,16 @@ def test_criterion_6_distinct_count_bound(toy):
         margin = diffs.mean() + 2 * se
         worst = min(worst, margin)
         ok &= margin >= 0.0
-    _verdict(
-        6,
-        bool(ok),
+    detail = (
         f"mean n_t+1 >= rho_t * n + alpha_t * (1 - rho_t) * mean n_t - 2SE "
-        f"over {reps} runs, iterations 1..{t_min - 1}; worst margin {worst:.1f}",
+        f"over {reps} runs, iterations 1..{t_min - 1}; worst margin {worst:.1f}"
     )
+    return bool(ok), float(worst), detail
+
+
+def test_criterion_6_distinct_count_bound(toy):
+    ok, _, detail = criterion_6_distinct_count(toy)
+    _verdict(6, ok, detail)
 
 
 def test_criterion_7_tolerance_variance_scaling(toy, monkeypatch):

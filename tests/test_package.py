@@ -1,7 +1,8 @@
 """The public surface: every exported name exists, and so does every
 name the benchmark's span tracer patches; importing the package stays
 light; no module keeps an import or a private name that nothing reads,
-and every import in the package runs at module level;
+every import in the package runs at module level, and no numpy
+transcendental function is called outside the quadrature tables' density;
 README lists every config key and its Python examples run."""
 
 from __future__ import annotations
@@ -183,6 +184,66 @@ def test_nested_import_check_flags_a_call_time_import():
         "    from .x import y\n    return y\n\nclass C:\n    import re\n"
     )
     assert _nested_imports(source) == [6, 10]
+
+
+# numpy's SIMD kernels for these can differ in the last bit between CPUs;
+# the library takes them from the C library's math module instead
+TRANSCENDENTAL_UFUNCS = frozenset(
+    "exp exp2 expm1 log log1p log2 log10 logaddexp logaddexp2 power float_power "
+    "sin cos tan arcsin arccos arctan arctan2 hypot "
+    "sinh cosh tanh arcsinh arccosh arctanh".split()
+)
+# the quadrature tables' density, which no gain reads
+TRANSCENDENTAL_ALLOWED = {("oracle.py", "_norm_pdf")}
+
+
+def _numpy_transcendentals(source: str) -> list[tuple[str, int]]:
+    """The enclosing top-level function (or ``<module>``) and line of every
+    numpy transcendental ufunc a module names, as ``np.exp`` or
+    ``from numpy import exp``."""
+    tree = ast.parse(source)
+    numpy_names = {"numpy"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            numpy_names.update(a.asname or a.name for a in node.names if a.name == "numpy")
+    found = []
+    for top in tree.body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        for node in ast.walk(top):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr in TRANSCENDENTAL_UFUNCS
+                and isinstance(node.value, ast.Name)
+                and node.value.id in numpy_names
+            ) or (
+                isinstance(node, ast.ImportFrom)
+                and node.module == "numpy"
+                and any(a.name in TRANSCENDENTAL_UFUNCS for a in node.names)
+            ):
+                found.append((owner, node.lineno))
+    return found
+
+
+def test_package_takes_transcendentals_from_math():
+    found = {
+        path.name: lines
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (lines := [
+            f"{owner} (line {line})"
+            for owner, line in _numpy_transcendentals(path.read_text(encoding="utf-8"))
+            if (path.name, owner) not in TRANSCENDENTAL_ALLOWED
+        ])
+    }
+    assert found == {}
+
+
+def test_transcendental_check_flags_numpy_exp():
+    source = (
+        "import math\nimport numpy as xp\nfrom numpy import log1p, sqrt\n\n"
+        "def f(x):\n    return xp.exp(x) + math.exp(1.0) + xp.sqrt(x)\n\n"
+        "class C:\n    g = xp.tanh\n"
+    )
+    assert _numpy_transcendentals(source) == [("<module>", 3), ("f", 6), ("C", 9)]
 
 
 def _private_definitions(source: str) -> dict[str, int]:

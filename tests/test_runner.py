@@ -438,6 +438,28 @@ def test_run_replicate_validates_its_config():
         run_replicate(RunConfig(sampler="reject", n_prior=10, seed=0), 1)
 
 
+@pytest.mark.parametrize(
+    "kw",
+    [
+        dict(sampler="reject", n_prior=2000, epsilon_target=0.5),
+        dict(sampler="mcmc", n_prior=2000, epsilon_target=0.5, mcmc_steps=50),
+        dict(sampler="naive-smc", n=300, schedule=[1.0, 0.5]),
+        dict(sampler="self-calibrated", n=300, epsilon_target=0.5),
+    ],
+    ids=lambda kw: kw["sampler"],
+)
+def test_gain_path_never_calls_numpy_exp(monkeypatch, kw):
+    # numpy's exp kernel can differ in the last bit between CPUs; a gain
+    # must take the normal density from the C library's math.exp
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.exp called")
+
+    monkeypatch.setattr(np, "exp", refuse)
+    assert toy_accept_prob(0.09, 10.0) == 0.008999999999999985
+    trace = run_replicate(RunConfig(seed=3, **kw), 1).trace
+    assert trace.gain is not None and trace.gain > 0
+
+
 def test_run_replicate_keyed_by_replicate():
     cfg = _sc_cfg(replicates=2)
     a = run_replicate(cfg, 1)
